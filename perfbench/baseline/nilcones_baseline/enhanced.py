@@ -1,0 +1,498 @@
+"""The enhanced module k^n + gl_n for GL_n.
+
+Nilpotent GL_n-orbits on pairs (v, x) are labelled by bipartitions of n.
+This module provides the dimension formula, normal-form representatives,
+identification of the orbit of a concrete pair, induction of orbits from
+Levi data (block compositions with one bipartition per block), rigidity,
+and the closure order together with two independent finite-field oracles
+that certify the combinatorial order at small rank.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, product
+
+from .errors import BudgetExceeded, NotRigidDatum, SizeMismatch
+from .fields import GF, QQ
+from .linalg import Mat, Vec, jordan_chevalley_split, restricted_jordan_type
+from .partitions import (
+    Bipartition,
+    Composition,
+    add,
+    ah_closure_leq,
+    enumerate_bipartitions,
+    transpose,
+)
+
+FLAG_ORACLE_BUDGET_N = 4
+SWEEP_ORACLE_BUDGET_N = 3
+ORACLE_PRIMES = (2, 3)
+
+
+@dataclass(frozen=True)
+class EnhancedElement:
+    """A pair (v, x) with v in k^n and x an n x n matrix over one field."""
+
+    n: int
+    v: Vec
+    x: Mat
+
+    def __post_init__(self):
+        if self.v.dim != self.n or self.x.nrows != self.n or self.x.ncols != self.n:
+            raise SizeMismatch("enhanced element dims inconsistent")
+        if self.v.field != self.x.field:
+            raise ValueError("vector and matrix live over different fields")
+
+    @property
+    def field(self):
+        return self.x.field
+
+    def to_field(self, field):
+        return EnhancedElement(self.n, self.v.to_field(field), self.x.to_field(field))
+
+
+def act(g, e):
+    """The group action g.(v, x) = (gv, gxg^{-1}); g must be invertible."""
+    from .linalg import inverse
+
+    return EnhancedElement(e.n, g.mul_vec(e.v), g.mul(e.x).mul(inverse(g)))
+
+
+def orbit_dim(b):
+    """Orbit dimension n^2 - sum_j ((mu+nu)^tr_j)^2 + |mu|.
+
+    Matches n^2 minus the infinitesimal stabilizer dimension of any
+    representative over Q; the agreement is part of the test surface.
+    """
+    n = b.n
+    lam_tr = transpose(add(b.mu, b.nu))
+    return n * n - sum(c * c for c in lam_tr) + sum(b.mu)
+
+
+def build_representative(b, field=QQ, summed=False):
+    """Normal-form representative of the orbit labelled b.
+
+    x is in Jordan form with chain i of length mu_i + nu_i, and v is the
+    sum of the depth-mu_i basis vector of each of the first l(mu) chains.
+    With ``summed=True`` the vector instead sums all chain vectors up to
+    depth mu_i (the image of the standard representative under the
+    unipotent element 1 + x + x^2 + ...; same orbit).
+    """
+    mu, nu = b.mu, b.nu
+    lam = add(mu, nu)
+    n = b.n
+    offsets = []
+    off = 0
+    for length in lam:
+        offsets.append(off)
+        off += length
+    rows = [[field.zero] * n for _ in range(n)]
+    for i, length in enumerate(lam):
+        for j in range(1, length):
+            rows[offsets[i] + j - 1][offsets[i] + j] = field.one
+    ventries = [field.zero] * n
+    for i in range(len(mu)):
+        if summed:
+            for j in range(mu[i]):
+                ventries[offsets[i] + j] = field.one
+        else:
+            ventries[offsets[i] + mu[i] - 1] = field.one
+    return EnhancedElement(n, Vec(field, tuple(ventries)),
+                           Mat(field, tuple(tuple(r) for r in rows)))
+
+
+def identify_orbit(e):
+    """Bipartition of the orbit of a nilpotent pair; NotNilpotent otherwise."""
+    mu, nu = restricted_jordan_type(e.x, e.v)
+    return Bipartition(mu, nu)
+
+
+def jkv_decompose(e):
+    """Split (v, x) = (0, x_s) + (v, x_n) along the Jordan-Chevalley
+    decomposition of x; this is the canonical decomposition compatible
+    with the projection to gl_n."""
+    xs, xn = jordan_chevalley_split(e.x)
+    zero = Vec.zero(e.field, e.n)
+    return EnhancedElement(e.n, zero, xs), EnhancedElement(e.n, e.v, xn)
+
+
+# ---------------------------------------------------------------------------
+# induction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class InductionDatum:
+    """Levi block sizes (ordered, marked prefix carries the vector) plus one
+    bipartition per block."""
+
+    composition: Composition
+    per_block: tuple
+
+    def __post_init__(self):
+        blocks = tuple(self.per_block)
+        if len(blocks) != len(self.composition.parts):
+            raise SizeMismatch("one bipartition per block required")
+        for b, size in zip(blocks, self.composition.parts):
+            if b.n != size:
+                raise SizeMismatch(f"block label {b} does not fill a block of size {size}")
+        object.__setattr__(self, "per_block", blocks)
+
+    @staticmethod
+    def rigid(composition):
+        """The datum whose blocks carry the two x = 0 orbits: marked blocks
+        get (1^m; ) and unmarked blocks get (; 1^m)."""
+        blocks = []
+        for i, size in enumerate(composition.parts):
+            ones = (1,) * size
+            blocks.append(Bipartition(ones, ()) if i < composition.k
+                          else Bipartition((), ones))
+        return InductionDatum(composition, tuple(blocks))
+
+    def is_rigid_datum(self):
+        return self == InductionDatum.rigid(self.composition)
+
+
+def induce(d):
+    """Induced orbit label: part-wise sums (sum mu^(i); sum nu^(i))."""
+    mu, nu = (), ()
+    for b in d.per_block:
+        mu = add(mu, b.mu)
+        nu = add(nu, b.nu)
+    return Bipartition(mu, nu)
+
+
+def induce_from_vector(d):
+    """Induced label of a rigid datum: mu_j counts marked blocks of size >= j
+    and nu_j counts unmarked ones.  NotRigidDatum on anything else."""
+    if not d.is_rigid_datum():
+        raise NotRigidDatum("per-block labels must be the x = 0 orbits matching the mark")
+    comp, k = d.composition.parts, d.composition.k
+    mu = transpose(tuple(sorted(comp[:k], reverse=True)))
+    nu = transpose(tuple(sorted(comp[k:], reverse=True)))
+    return Bipartition(mu, nu)
+
+
+def is_rigid(b):
+    """True iff b is (1^n; ) or (; 1^n): the orbits of pairs with x = 0,
+    which are exactly the non-induced ones."""
+    ones = (1,) * b.n
+    return (b.mu, b.nu) in (((), ones), (ones, ())) or b.n == 0
+
+
+def rigid_datum(b):
+    """The unique (up to conjugacy) rigid datum inducing b: marked blocks
+    are the columns of mu (ascending), unmarked blocks the columns of nu."""
+    mu_cols = tuple(sorted(transpose(b.mu)))
+    nu_cols = tuple(sorted(transpose(b.nu)))
+    comp = Composition(mu_cols + nu_cols, k=len(mu_cols))
+    return InductionDatum.rigid(comp)
+
+
+def induction_representative(d, field=QQ):
+    """An element of the induced orbit.
+
+    For rigid data this is the explicit column construction: place the
+    blocks as columns of heights n_1, ..., n_r, let x send each box to the
+    nearest box in the same row to its left (zero if none), and let v be
+    the sum of all boxes in the marked columns.  Row i then forms one
+    Jordan chain through the columns of height >= i.  For non-rigid data
+    the normal form of the induced label is returned.
+    """
+    if not d.is_rigid_datum():
+        return build_representative(induce(d), field)
+    comp, k = d.composition.parts, d.composition.k
+    n = sum(comp)
+    index = {}
+    pos = 0
+    for j, height in enumerate(comp):
+        for i in range(1, height + 1):
+            index[(i, j)] = pos
+            pos += 1
+    rows = [[field.zero] * n for _ in range(n)]
+    max_height = max(comp) if comp else 0
+    for i in range(1, max_height + 1):
+        cols = [j for j, height in enumerate(comp) if height >= i]
+        for t in range(1, len(cols)):
+            rows[index[(i, cols[t - 1])]][index[(i, cols[t])]] = field.one
+    ventries = [field.zero] * n
+    for j in range(k):
+        for i in range(1, comp[j] + 1):
+            ventries[index[(i, j)]] = field.one
+    return EnhancedElement(n, Vec(field, tuple(ventries)),
+                           Mat(field, tuple(tuple(r) for r in rows)))
+
+
+# ---------------------------------------------------------------------------
+# closure order and its oracles
+# ---------------------------------------------------------------------------
+
+
+def closure_leq(b1, b2):
+    """True iff the orbit of b1 lies in the closure of the orbit of b2.
+
+    Delegates to the combinatorial rule; the two oracles below certify the
+    rule on every pair at small n (see validate_closure_rule).
+    """
+    return ah_closure_leq(b1, b2)
+
+
+def _echelon_insert(rows, vec, p):
+    """Insert vec into RREF rows (tuple sorted by pivot); returns new rows,
+    or the old tuple if vec reduces to zero."""
+    v = list(vec)
+    for piv, row in rows:
+        if v[piv]:
+            c = v[piv]
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+    piv = next((j for j, a in enumerate(v) if a), None)
+    if piv is None:
+        return rows
+    inv = pow(v[piv], p - 2, p)
+    v = tuple((a * inv) % p for a in v)
+    out = []
+    for pv, row in rows:
+        if row[piv]:
+            c = row[piv]
+            row = tuple((a - c * b) % p for a, b in zip(row, v))
+        out.append((pv, row))
+    out.append((piv, v))
+    out.sort()
+    return tuple(out)
+
+
+def _echelon(vectors, p):
+    rows = ()
+    for vec in vectors:
+        rows = _echelon_insert(rows, vec, p)
+    return rows
+
+
+def _residual(vec, rows, p):
+    v = list(vec)
+    for piv, row in rows:
+        if v[piv]:
+            c = v[piv]
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def _in_span(vec, rows, p):
+    return not any(_residual(vec, rows, p))
+
+
+def _nullspace_p(mat_rows, p, n):
+    """RREF nullspace of an (m x n) int matrix mod p, as echelon rows."""
+    ech = _echelon(mat_rows, p)
+    pivots = {piv for piv, _ in ech}
+    basis = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = [0] * n
+        v[c] = 1
+        for r, (piv, row) in enumerate(ech):
+            v[piv] = (-ech[r][1][c]) % p
+        basis.append(tuple(v))
+    return _echelon(basis, p)
+
+
+def _rref_patterns(q, d, p):
+    """All d x q reduced-echelon coefficient matrices over F_p."""
+    if d == 0:
+        yield ()
+        return
+    for pivots in combinations(range(q), d):
+        free_slots = [(r, c) for r in range(d) for c in range(q)
+                      if c > pivots[r] and c not in pivots]
+        for values in product(range(p), repeat=len(free_slots)):
+            rows = [[0] * q for _ in range(d)]
+            for r in range(d):
+                rows[r][pivots[r]] = 1
+            for (r, c), val in zip(free_slots, values):
+                rows[r][c] = val
+            yield tuple(tuple(r) for r in rows)
+
+
+def _subspaces_between(S, T, d, p, n):
+    """All echelon bases F with span(S) <= F <= span(T), dim F = d."""
+    s, t = len(S), len(T)
+    if not s <= d <= t:
+        return
+    if d == s:
+        yield S
+        return
+    complement = []
+    for _, row in T:
+        res = _residual(row, S, p)
+        if any(res):
+            ech = _echelon(complement + [res], p)
+            if len(ech) > len(complement):
+                complement = [r for _, r in ech]
+    assert len(complement) == t - s
+    for pattern in _rref_patterns(t - s, d - s, p):
+        lifted = []
+        for prow in pattern:
+            vec = [0] * n
+            for coeff, cvec in zip(prow, complement):
+                if coeff:
+                    vec = [(a + coeff * b) % p for a, b in zip(vec, cvec)]
+            lifted.append(tuple(vec))
+        yield _echelon([r for _, r in S] + lifted, p)
+
+
+def _flag_witness_exists(xrows, ventries, comp, k, p):
+    """Search for a partial flag with jumps comp such that x drops each step
+    down one and the vector lies in step k."""
+    n = len(ventries)
+    dims = []
+    acc = 0
+    for c in comp:
+        acc += c
+        dims.append(acc)
+    if k == 0 and any(ventries):
+        return False
+    x_cols = [tuple(xrows[i][j] for i in range(n)) for j in range(n)]
+    failed = set()
+
+    def rec(i, F):
+        if i == len(comp):
+            return True
+        state = (i, F)
+        if state in failed:
+            return False
+        residuals = [_residual(col, F, p) for col in x_cols]
+        constraint = []
+        for c in range(n):
+            row = tuple(residuals[j][c] for j in range(n))
+            if any(row):
+                constraint.append(row)
+        T = _nullspace_p(constraint, p, n)
+        S = F
+        if i + 1 == k:
+            if not _in_span(ventries, T, p):
+                failed.add(state)
+                return False
+            S = _echelon([r for _, r in F] + [tuple(ventries)], p)
+        for F_next in _subspaces_between(S, T, dims[i], p, n):
+            if rec(i + 1, F_next):
+                return True
+        failed.add(state)
+        return False
+
+    return rec(0, ())
+
+
+def _oracle_prelude(b_small, b_big, p, budget_n):
+    if b_small.n != b_big.n:
+        raise SizeMismatch("labels have different sizes")
+    if b_small.n > budget_n or p not in ORACLE_PRIMES:
+        raise BudgetExceeded(f"oracle capped at n <= {budget_n}, p in {ORACLE_PRIMES}")
+    rep = build_representative(b_small, field=GF(p))
+    xrows = tuple(tuple(int(e) for e in row) for row in rep.x.rows)
+    ventries = tuple(int(e) for e in rep.v.entries)
+    return xrows, ventries
+
+
+def closure_oracle_flag(b_small, b_big, p, alt_order=False):
+    """Exhaustive flag-search membership test for
+    orbit(b_small) <= closure(orbit(b_big)) over F_p.
+
+    The closure of the induced orbit is the set of pairs admitting a
+    partial flag whose jumps are the rigid Levi block sizes of b_big, with
+    x mapping each flag step into the previous one and the vector lying in
+    the marked step.  ``alt_order`` reorders blocks within the marked and
+    unmarked groups (descending instead of ascending), which must not
+    change the answer.
+    """
+    xrows, ventries = _oracle_prelude(b_small, b_big, p, FLAG_ORACLE_BUDGET_N)
+    datum = rigid_datum(b_big)
+    comp, k = list(datum.composition.parts), datum.composition.k
+    if alt_order:
+        comp = sorted(comp[:k], reverse=True) + sorted(comp[k:], reverse=True)
+    return _flag_witness_exists(xrows, ventries, tuple(comp), k, p)
+
+
+@lru_cache(maxsize=None)
+def _gl_elements(n, p):
+    """All of GL_n(F_p) with inverses, as tuple matrices."""
+    elements = []
+    for flat in product(range(p), repeat=n * n):
+        g = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        ginv = _invert_mod_p(g, n, p)
+        if ginv is not None:
+            elements.append((g, ginv))
+    return tuple(elements)
+
+
+def _invert_mod_p(g, n, p):
+    a = [list(g[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if a[i][c] % p), None)
+        if piv is None:
+            return None
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [(e * inv) % p for e in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] % p:
+                t = a[i][c]
+                a[i] = [(e - t * f) % p for e, f in zip(a[i], a[r])]
+        r += 1
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def _mat_mul_p(a, b, p):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a)
+
+
+def closure_oracle_sweep(b_small, b_big, p):
+    """Second, independent membership oracle: sweep all g in GL_n(F_p) and
+    test g.(v, x) directly against the marked coordinate subspace and the
+    strict block-upper pattern of the rigid datum of b_big."""
+    xrows, ventries = _oracle_prelude(b_small, b_big, p, SWEEP_ORACLE_BUDGET_N)
+    datum = rigid_datum(b_big)
+    comp, k = datum.composition.parts, datum.composition.k
+    n = b_small.n
+    block_of = []
+    for bi, size in enumerate(comp):
+        block_of.extend([bi] * size)
+    marked_dim = sum(comp[:k])
+    forbidden = [(r, c) for r in range(n) for c in range(n)
+                 if block_of[r] >= block_of[c]]
+    for g, ginv in _gl_elements(n, p):
+        w = tuple(sum(g[i][j] * ventries[j] for j in range(n)) % p for i in range(n))
+        if any(w[marked_dim:]):
+            continue
+        a = _mat_mul_p(_mat_mul_p(g, xrows, p), ginv, p)
+        if all(a[r][c] == 0 for r, c in forbidden):
+            return True
+    return False
+
+
+def validate_closure_rule(n, p, include_sweep=False, alt_order=False):
+    """Compare the combinatorial order with the flag oracle (and optionally
+    the group sweep) on every ordered pair of labels of size n.
+
+    Returns (pairs_checked, mismatches); an empty mismatch list certifies
+    the rule at this size and prime.
+    """
+    labels = enumerate_bipartitions(n)
+    mismatches = []
+    checked = 0
+    for b1 in labels:
+        for b2 in labels:
+            want = closure_leq(b1, b2)
+            got = closure_oracle_flag(b1, b2, p, alt_order=alt_order)
+            checked += 1
+            if want != got:
+                mismatches.append((b1, b2, "flag", want, got))
+            if include_sweep and n <= SWEEP_ORACLE_BUDGET_N:
+                got2 = closure_oracle_sweep(b1, b2, p)
+                if want != got2:
+                    mismatches.append((b1, b2, "sweep", want, got2))
+    return checked, mismatches

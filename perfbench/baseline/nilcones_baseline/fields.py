@@ -1,0 +1,138 @@
+"""Base fields: the rationals and prime fields.
+
+Scalars are plain Python values (``fractions.Fraction`` over Q, ints in
+``[0, p)`` over F_p); the field object carries the arithmetic.  Containers in
+:mod:`nilcones.linalg` tag themselves with one field and refuse to mix tags.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .errors import ParseError
+
+
+def _is_prime(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class RationalField:
+    """The field Q.  Scalars are Fractions, kept in lowest terms with positive
+    denominator by the Fraction type itself."""
+
+    char = 0
+
+    def of(self, x):
+        return Fraction(x)
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return 1 / Fraction(a)
+
+    def div(self, a, b):
+        return Fraction(a) / b
+
+    def parse(self, text):
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not a rational scalar: {text!r}") from exc
+
+    def format(self, a):
+        return str(a)
+
+    def __eq__(self, other):
+        return isinstance(other, RationalField)
+
+    def __hash__(self):
+        return hash("QQ")
+
+    def __repr__(self):
+        return "QQ"
+
+
+class PrimeField:
+    """The field F_p for a prime p.  Scalars are ints reduced into [0, p)."""
+
+    def __init__(self, p):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+        self.char = p
+        self.zero = 0
+        self.one = 1 % p
+
+    def of(self, x):
+        return int(x) % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def inv(self, a):
+        a %= self.p
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return pow(a, self.p - 2, self.p)
+
+    def div(self, a, b):
+        return (a * self.inv(b)) % self.p
+
+    def parse(self, text):
+        try:
+            return int(text.strip()) % self.p
+        except ValueError as exc:
+            raise ParseError(f"not an F_{self.p} scalar: {text!r}") from exc
+
+    def format(self, a):
+        return str(a % self.p)
+
+    def elements(self):
+        return range(self.p)
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("Fp", self.p))
+
+    def __repr__(self):
+        return f"GF({self.p})"
+
+
+QQ = RationalField()
+
+
+def GF(p):
+    return PrimeField(p)

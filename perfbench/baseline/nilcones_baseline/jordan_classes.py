@@ -1,0 +1,283 @@
+"""Jordan classes of the enhanced and exotic modules.
+
+A class collects the elements whose semisimple part has a fixed stabilizer
+type (a partition lam of n, one part per eigenvalue) and whose nilpotent
+datum is a fixed orbit in each stabilizer block.  Labels are therefore a
+partition lam plus one bipartition of lam_i per part, with ties between
+equal parts broken by the fixed total order on bipartitions.  Both modules
+share the same label set, and the exotic class dimension doubles the orbit
+part of the enhanced one while keeping the central part.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from math import comb
+
+from .errors import BudgetExceeded, NotDoubled, RepeatedEigenvalue, SizeMismatch
+from .fields import QQ
+from .linalg import Mat, Vec, eigenvalues_with_multiplicity, inverse, nullspace
+from .enhanced import EnhancedElement, build_representative, identify_orbit, jkv_decompose, orbit_dim
+from .partitions import (
+    Bipartition,
+    add,
+    ah_closure_leq,
+    check_partition,
+    enumerate_bipartitions,
+    format_bipartition,
+    halve,
+    order_key,
+)
+
+CLASS_BUDGET_N = 12
+
+
+@dataclass(frozen=True)
+class ClassLabel:
+    """Partition lam plus one bipartition per part, stored canonically:
+    lam weakly decreasing, and blocks listed in the fixed total order
+    (enumeration order: |mu| descending, then lexicographic) inside every
+    run of equal parts.  The constructor canonicalises, so two labels of
+    the same class compare equal."""
+
+    lam: tuple
+    blocks: tuple
+
+    def __post_init__(self):
+        lam = tuple(int(p) for p in self.lam)
+        if any(p <= 0 for p in lam):
+            raise ValueError(f"parts must be positive: {lam}")
+        blocks = tuple(self.blocks)
+        if len(blocks) != len(lam):
+            raise SizeMismatch("one bipartition per part required")
+        for part, b in zip(lam, blocks):
+            if b.n != part:
+                raise SizeMismatch(f"block {b} does not fill a part of size {part}")
+        pairs = sorted(zip(lam, blocks), key=lambda t: (-t[0], order_key(t[1])))
+        object.__setattr__(self, "lam", check_partition(p for p, _ in pairs))
+        object.__setattr__(self, "blocks", tuple(b for _, b in pairs))
+
+    @property
+    def n(self):
+        return sum(self.lam)
+
+    def __str__(self):
+        return format_class_label(self)
+
+
+def format_class_label(c, exponents=True):
+    lam_text = ",".join(str(p) for p in c.lam)
+    block_text = ",".join(format_bipartition(b, exponents) for b in c.blocks)
+    return f"λ=[{lam_text}]; blocks=[{block_text}]"
+
+
+def enumerate_classes(n):
+    """Every canonical class label of size n, deterministically ordered."""
+    if n > CLASS_BUDGET_N:
+        raise BudgetExceeded(f"class enumeration capped at n <= {CLASS_BUDGET_N}")
+    from .partitions import partitions_of
+
+    out = []
+    for lam in sorted(partitions_of(n), key=lambda t: (len(t), t)):
+        runs = []
+        i = 0
+        while i < len(lam):
+            j = i
+            while j < len(lam) and lam[j] == lam[i]:
+                j += 1
+            runs.append((lam[i], j - i))
+            i = j
+        per_run_choices = []
+        for value, count in runs:
+            labels = sorted(enumerate_bipartitions(value), key=order_key)
+            per_run_choices.append(list(combinations_with_replacement(labels, count)))
+        def assemble(idx, acc):
+            if idx == len(per_run_choices):
+                out.append(ClassLabel(lam, tuple(acc)))
+                return
+            for choice in per_run_choices[idx]:
+                assemble(idx + 1, acc + list(choice))
+        assemble(0, [])
+    return out
+
+
+def class_count_formula(n):
+    """Multiset count: sum over lam of prod_i C(|Q_i| + d_i - 1, d_i)."""
+    from .partitions import multiplicity, partitions_of
+
+    q_sizes = {}
+    total = 0
+    for lam in partitions_of(n):
+        prod = 1
+        for i in set(lam):
+            if i not in q_sizes:
+                q_sizes[i] = len(enumerate_bipartitions(i))
+            d = multiplicity(lam, i)
+            prod *= comb(q_sizes[i] + d - 1, d)
+        total += prod
+    return total
+
+
+def class_dim_enhanced(c):
+    """dim of the class: semisimple orbit part n^2 - sum lam_i^2, plus the
+    per-block nilpotent orbit dimensions, plus the central l(lam)."""
+    n = c.n
+    return (n * n - sum(p * p for p in c.lam)
+            + sum(orbit_dim(b) for b in c.blocks)
+            + len(c.lam))
+
+
+def class_dim_exotic(c):
+    """Orbit part doubles, the central part does not."""
+    ell = len(c.lam)
+    return 2 * (class_dim_enhanced(c) - ell) + ell
+
+
+def class_orbit_dim(c):
+    """Dimension of the orbits inside the class (constant along it)."""
+    return class_dim_enhanced(c) - len(c.lam)
+
+
+def class_nilcone_orbit(c):
+    """The unique nilpotent orbit whose closure is the intersection of the
+    class closure with the nilpotent cone: induce all blocks, i.e. sum."""
+    mu, nu = (), ()
+    for b in c.blocks:
+        mu = add(mu, b.mu)
+        nu = add(nu, b.nu)
+    return Bipartition(mu, nu)
+
+
+def build_class_representative(c, eigenvalues=None, field=QQ):
+    """An element of the class: x_s with eigenvalue a_i of multiplicity
+    lam_i, plus the block normal form of each nilpotent label."""
+    if eigenvalues is None:
+        eigenvalues = tuple(range(1, len(c.lam) + 1))
+    scalars = tuple(field.of(a) for a in eigenvalues)
+    if len(scalars) != len(c.lam):
+        raise SizeMismatch("need one eigenvalue per part")
+    if len(set(scalars)) != len(scalars):
+        raise RepeatedEigenvalue(f"eigenvalues must be pairwise distinct: {scalars}")
+    reps = [build_representative(b, field) for b in c.blocks]
+    blocks_x = [Mat.scalar(field, c.lam[i], scalars[i]).add(reps[i].x)
+                for i in range(len(c.lam))]
+    ventries = tuple(e for rep in reps for e in rep.v.entries)
+    return EnhancedElement(c.n, Vec(field, ventries), Mat.block_diag(field, blocks_x))
+
+
+def _eigen_block_data(e):
+    """Split (v, x) along generalized eigenspaces; returns a list of
+    (multiplicity, block EnhancedElement with nilpotent matrix)."""
+    f = e.field
+    n = e.n
+    _, nilp = jkv_decompose(e)
+    eig = eigenvalues_with_multiplicity(e.x)
+    columns = []
+    sizes = []
+    for a, m in eig:
+        shifted = e.x.sub(Mat.scalar(f, n, a))
+        power = Mat.identity(f, n)
+        for _ in range(m):
+            power = power.mul(shifted)
+        basis = nullspace(power)
+        assert len(basis) == m
+        columns.extend(list(v.entries) for v in basis)
+        sizes.append(m)
+    p_mat = Mat(f, tuple(zip(*columns)))
+    p_inv = inverse(p_mat)
+    xn_conj = p_inv.mul(nilp.x).mul(p_mat)
+    coords = p_inv.mul_vec(e.v)
+    out = []
+    off = 0
+    for m in sizes:
+        block = Mat(f, tuple(row[off:off + m] for row in xn_conj.rows[off:off + m]))
+        # x_n preserves each generalized eigenspace, so the conjugated
+        # matrix must vanish outside the diagonal blocks
+        for i in range(n):
+            if not off <= i < off + m:
+                assert all(xn_conj.entry(i, j) == f.zero for j in range(off, off + m))
+        vec = Vec(f, coords.entries[off:off + m])
+        out.append((m, EnhancedElement(m, vec, block)))
+        off += m
+    return out
+
+
+def identify_class(e):
+    """Class label of an enhanced element whose spectrum splits: eigenvalue
+    multiplicities give lam, and each eigenspace block is identified as an
+    enhanced nilpotent orbit of its own size."""
+    data = _eigen_block_data(e)
+    lam = tuple(m for m, _ in data)
+    blocks = tuple(identify_orbit(block) for _, block in data)
+    return ClassLabel(lam, blocks)
+
+
+def identify_exotic_class(e):
+    """Class label of an exotic element: eigenvalue multiplicities are all
+    even and halve to lam; each block identifies through its doubled
+    enhanced label."""
+    from .exotic import embed_psi
+
+    data = _eigen_block_data(embed_psi(e))
+    lam = []
+    blocks = []
+    for m, block in data:
+        if m % 2:
+            raise NotDoubled(f"eigenvalue multiplicity {m} is odd")
+        lam.append(m // 2)
+        big = identify_orbit(block)
+        try:
+            blocks.append(halve(big))
+        except ValueError as exc:
+            raise NotDoubled(str(exc)) from exc
+    return ClassLabel(tuple(lam), tuple(blocks))
+
+
+def class_closure_leq(c1, c2):
+    """Candidate closure order on classes: c1 below c2 when the parts of
+    lam(c2) can be merged onto the parts of lam(c1) (sums respected) so
+    that every part of c1 dominates, in the orbit closure order, the orbit
+    induced from the blocks merged into it.
+
+    On nilpotent classes (lam = (n)) this is the orbit closure order; on
+    classes of equal orbit dimension it reproduces the dense-sheet
+    criterion.  Reflexivity, transitivity, dimension monotonicity and
+    those two specialisations are test surface; the rule beyond them is a
+    reconstruction, not a cited theorem.
+    """
+    if c1.n != c2.n:
+        raise SizeMismatch("labels have different sizes")
+    items = list(zip(c2.lam, c2.blocks))
+    targets = list(zip(c1.lam, c1.blocks))
+    remaining = [p for p, _ in targets]
+    assigned = [[] for _ in targets]
+
+    def feasible(idx):
+        if idx == len(items):
+            return all(r == 0 for r in remaining)
+        size, block = items[idx]
+        seen = set()
+        for t in range(len(targets)):
+            state = (remaining[t], targets[t])
+            if state in seen:
+                continue
+            seen.add(state)
+            if remaining[t] < size:
+                continue
+            remaining[t] -= size
+            assigned[t].append(block)
+            ok = True
+            if remaining[t] == 0:
+                merged_mu, merged_nu = (), ()
+                for b in assigned[t]:
+                    merged_mu = add(merged_mu, b.mu)
+                    merged_nu = add(merged_nu, b.nu)
+                ok = ah_closure_leq(targets[t][1], Bipartition(merged_mu, merged_nu))
+            if ok and feasible(idx + 1):
+                return True
+            remaining[t] += size
+            assigned[t].pop()
+        return False
+
+    return feasible(0)

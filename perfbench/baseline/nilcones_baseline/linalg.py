@@ -1,0 +1,923 @@
+"""Exact linear algebra over Q and F_p.
+
+Matrices and vectors are immutable, tagged with one field object from
+:mod:`nilcones.fields`, and every operation is a pure function.  Rank and
+nullspace run exact Gaussian elimination (with an integer fraction-free fast
+path over Q); the characteristic polynomial comes from a Hessenberg
+similarity reduction, so it works over any base field.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
+
+from .errors import (
+    BudgetExceeded,
+    NonSplitSpectrum,
+    NotNilpotent,
+    SizeMismatch,
+    WedgeViolation,
+)
+from .fields import GF, QQ, PrimeField, RationalField
+from . import partitions
+
+SUBSPACE_BUDGET_N = 5
+SUBSPACE_PRIMES = (2, 3, 5)
+
+
+@dataclass(frozen=True)
+class Vec:
+    field: object
+    entries: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.field.of(e) for e in self.entries))
+
+    @property
+    def dim(self):
+        return len(self.entries)
+
+    def is_zero(self):
+        return all(e == self.field.zero for e in self.entries)
+
+    def add(self, other):
+        _same_field(self, other)
+        if self.dim != other.dim:
+            raise SizeMismatch("vector dims differ")
+        f = self.field
+        return Vec(f, tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)))
+
+    def scale(self, c):
+        f = self.field
+        c = f.of(c)
+        return Vec(f, tuple(f.mul(c, e) for e in self.entries))
+
+    def to_field(self, field):
+        return Vec(field, tuple(_convert_scalar(e, self.field, field) for e in self.entries))
+
+    @staticmethod
+    def zero(field, n):
+        return Vec(field, (field.zero,) * n)
+
+
+@dataclass(frozen=True)
+class Mat:
+    field: object
+    rows: tuple
+
+    def __post_init__(self):
+        rows = tuple(tuple(self.field.of(e) for e in row) for row in self.rows)
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise SizeMismatch("ragged rows")
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def nrows(self):
+        return len(self.rows)
+
+    @property
+    def ncols(self):
+        return len(self.rows[0]) if self.rows else 0
+
+    def is_square(self):
+        return self.nrows == self.ncols
+
+    def is_zero(self):
+        z = self.field.zero
+        return all(e == z for row in self.rows for e in row)
+
+    def entry(self, i, j):
+        return self.rows[i][j]
+
+    def add(self, other):
+        _same_field(self, other)
+        _same_shape(self, other)
+        f = self.field
+        return Mat(f, tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
+                            for r1, r2 in zip(self.rows, other.rows)))
+
+    def sub(self, other):
+        _same_field(self, other)
+        _same_shape(self, other)
+        f = self.field
+        return Mat(f, tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2))
+                            for r1, r2 in zip(self.rows, other.rows)))
+
+    def scale(self, c):
+        f = self.field
+        c = f.of(c)
+        return Mat(f, tuple(tuple(f.mul(c, e) for e in row) for row in self.rows))
+
+    def mul(self, other):
+        _same_field(self, other)
+        if self.ncols != other.nrows:
+            raise SizeMismatch("inner dims differ")
+        f = self.field
+        bt = tuple(zip(*other.rows)) if other.rows else ()
+        out = []
+        for row in self.rows:
+            out.append(tuple(_dot(f, row, col) for col in bt))
+        return Mat(f, tuple(out))
+
+    def mul_vec(self, v):
+        _same_field(self, v)
+        if self.ncols != v.dim:
+            raise SizeMismatch("matrix/vector dims differ")
+        f = self.field
+        return Vec(f, tuple(_dot(f, row, v.entries) for row in self.rows))
+
+    def transpose(self):
+        return Mat(self.field, tuple(zip(*self.rows)) if self.rows else ())
+
+    def to_field(self, field):
+        return Mat(field, tuple(tuple(_convert_scalar(e, self.field, field) for e in row)
+                                for row in self.rows))
+
+    @staticmethod
+    def identity(field, n):
+        one, zero = field.one, field.zero
+        return Mat(field, tuple(tuple(one if i == j else zero for j in range(n))
+                                for i in range(n)))
+
+    @staticmethod
+    def zeros(field, m, n=None):
+        n = m if n is None else n
+        return Mat(field, tuple((field.zero,) * n for _ in range(m)))
+
+    @staticmethod
+    def scalar(field, n, c):
+        c = field.of(c)
+        zero = field.zero
+        return Mat(field, tuple(tuple(c if i == j else zero for j in range(n))
+                                for i in range(n)))
+
+    @staticmethod
+    def block_diag(field, blocks):
+        n = sum(b.nrows for b in blocks)
+        rows = [[field.zero] * n for _ in range(n)]
+        off = 0
+        for b in blocks:
+            for i in range(b.nrows):
+                for j in range(b.ncols):
+                    rows[off + i][off + j] = field.of(b.rows[i][j])
+            off += b.nrows
+        return Mat(field, tuple(tuple(r) for r in rows))
+
+
+def _same_field(a, b):
+    if a.field != b.field:
+        raise ValueError(f"field mismatch: {a.field} vs {b.field}")
+
+
+def _same_shape(a, b):
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise SizeMismatch("matrix shapes differ")
+
+
+def _dot(f, xs, ys):
+    acc = f.zero
+    for x, y in zip(xs, ys):
+        if x != f.zero and y != f.zero:
+            acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def _convert_scalar(e, src, dst):
+    if src == dst:
+        return e
+    if isinstance(src, RationalField) and isinstance(dst, PrimeField):
+        num, den = e.numerator, e.denominator
+        if den % dst.p == 0:
+            raise ValueError(f"denominator of {e} not invertible mod {dst.p}")
+        return dst.div(dst.of(num), dst.of(den))
+    raise ValueError(f"no conversion {src} -> {dst}")
+
+
+# ---------------------------------------------------------------------------
+# rank / nullspace / inverse
+# ---------------------------------------------------------------------------
+
+
+def _rank_bareiss(int_rows):
+    """Fraction-free integer elimination; all divisions are exact."""
+    a = [list(r) for r in int_rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    prev = 1
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pivot = a[r][c]
+        for i in range(r + 1, m):
+            ric = a[i][c]
+            # rows must be rescaled by pivot/prev even when ric = 0, or the
+            # later exact divisions of the Sylvester identity break
+            if ric == 0 and pivot == prev:
+                continue
+            row_i, row_r = a[i], a[r]
+            for j in range(c + 1, n):
+                row_i[j] = (row_i[j] * pivot - ric * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def _rank_field(field, rows):
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    zero = field.zero
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c] != zero), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = field.inv(a[r][c])
+        for i in range(r + 1, m):
+            if a[i][c] == zero:
+                continue
+            t = field.mul(a[i][c], inv)
+            row_i, row_r = a[i], a[r]
+            for j in range(c, n):
+                row_i[j] = field.sub(row_i[j], field.mul(t, row_r[j]))
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def rank(m):
+    """Row rank by exact Gaussian elimination."""
+    if m.nrows == 0 or m.ncols == 0:
+        return 0
+    if isinstance(m.field, RationalField):
+        if all(e.denominator == 1 for row in m.rows for e in row):
+            return _rank_bareiss([[e.numerator for e in row] for row in m.rows])
+        # clear denominators row by row; row scaling preserves rank
+        cleared = []
+        for row in m.rows:
+            l = 1
+            for e in row:
+                l = l * e.denominator // gcd(l, e.denominator)
+            cleared.append([int(e * l) for e in row])
+        return _rank_bareiss(cleared)
+    return _rank_field(m.field, m.rows)
+
+
+def rref(m):
+    """Reduced row echelon form; returns (Mat, pivot column tuple)."""
+    f = m.field
+    a = [list(r) for r in m.rows]
+    nr, nc = m.nrows, m.ncols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if a[i][c] != f.zero), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = f.inv(a[r][c])
+        a[r] = [f.mul(inv, e) for e in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c] != f.zero:
+                t = a[i][c]
+                a[i] = [f.sub(e, f.mul(t, p)) for e, p in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Mat(f, tuple(tuple(row) for row in a)), tuple(pivots)
+
+
+def nullspace(m):
+    """Basis of the right nullspace, one Vec per free column."""
+    f = m.field
+    red, pivots = rref(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.ncols) if c not in pivot_set]
+    basis = []
+    for c in free:
+        v = [f.zero] * m.ncols
+        v[c] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(red.rows[r][c])
+        basis.append(Vec(f, tuple(v)))
+    return basis
+
+
+def inverse(m):
+    if not m.is_square():
+        raise SizeMismatch("inverse needs a square matrix")
+    f = m.field
+    n = m.nrows
+    aug = Mat(f, tuple(m.rows[i] + Mat.identity(f, n).rows[i] for i in range(n)))
+    red, pivots = rref(aug)
+    if tuple(pivots)[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return Mat(f, tuple(row[n:] for row in red.rows))
+
+
+def det(m):
+    """Exact determinant (used as an independent oracle for charpoly)."""
+    if not m.is_square():
+        raise SizeMismatch("det needs a square matrix")
+    f = m.field
+    a = [list(r) for r in m.rows]
+    n = m.nrows
+    out = f.one
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != f.zero), None)
+        if piv is None:
+            return f.zero
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            out = f.neg(out)
+        out = f.mul(out, a[c][c])
+        inv = f.inv(a[c][c])
+        for i in range(c + 1, n):
+            if a[i][c] == f.zero:
+                continue
+            t = f.mul(a[i][c], inv)
+            a[i] = [f.sub(e, f.mul(t, p)) for e, p in zip(a[i], a[c])]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomial and Jordan data
+# ---------------------------------------------------------------------------
+
+
+def _charpoly_monic(m):
+    """Coefficients of det(tI - m), highest degree first, leading 1.
+
+    Hessenberg reduction by similarity, then the standard determinant
+    recurrence on leading principal minors.  Divisions only by nonzero
+    pivots, so any base field works.
+    """
+    if not m.is_square():
+        raise SizeMismatch("charpoly needs a square matrix")
+    f = m.field
+    n = m.nrows
+    h = [list(r) for r in m.rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j] != f.zero), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[j + 1], h[piv] = h[piv], h[j + 1]
+            for row in h:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        inv = f.inv(h[j + 1][j])
+        for i in range(j + 2, n):
+            if h[i][j] == f.zero:
+                continue
+            t = f.mul(h[i][j], inv)
+            h[i] = [f.sub(e, f.mul(t, p)) for e, p in zip(h[i], h[j + 1])]
+            for row in h:
+                row[j + 1] = f.add(row[j + 1], f.mul(t, row[i]))
+    # p[k] = charpoly (low->high) of the leading k x k block
+    p = [[f.one]]
+    for k in range(1, n + 1):
+        term = _pmul(f, [f.neg(h[k - 1][k - 1]), f.one], p[k - 1])
+        run = f.one
+        for i in range(1, k):
+            run = f.mul(run, h[k - i][k - i - 1])
+            if run == f.zero:
+                break
+            coeff = f.mul(h[k - 1 - i][k - 1], run)
+            if coeff != f.zero:
+                term = _psub(f, term, _pscale(f, coeff, p[k - 1 - i]))
+        p.append(term)
+    top = p[n] + [f.zero] * (n + 1 - len(p[n]))
+    return tuple(reversed(top))
+
+
+def charpoly(m):
+    """Coefficients (c_1, ..., c_n) of det(tI - m) = t^n + c_1 t^{n-1} + ... + c_n."""
+    return _charpoly_monic(m)[1:]
+
+
+def _power_ranks(x):
+    """Ranks of x^0, x^1, ... down to 0; NotNilpotent if x^n has rank > 0."""
+    n = x.nrows
+    ranks = [n]
+    power = x
+    for _ in range(n):
+        r = rank(power)
+        ranks.append(r)
+        if r == 0:
+            return ranks
+        power = power.mul(x)
+    raise NotNilpotent("matrix is not nilpotent")
+
+
+def jordan_type_nilpotent(x):
+    """Partition of n whose transpose has parts rank(x^{i-1}) - rank(x^i)."""
+    if not x.is_square():
+        raise SizeMismatch("need a square matrix")
+    if x.nrows == 0:
+        return ()
+    ranks = _power_ranks(x)
+    col = tuple(ranks[i - 1] - ranks[i] for i in range(1, len(ranks)))
+    return partitions.transpose(col)
+
+
+def _cyclic_basis(x, v):
+    """The iterates v, xv, x^2 v, ... up to the first zero (x nilpotent)."""
+    out = []
+    w = v
+    while not w.is_zero():
+        out.append(w)
+        w = x.mul_vec(w)
+    return out
+
+
+def restricted_jordan_type(x, v):
+    """Orbit label (mu, nu) of the pair (v, x) with x nilpotent.
+
+    Computes the two conjugation invariants -- the Jordan type of x and the
+    Jordan type of x on the quotient by the cyclic subspace generated by v
+    -- and inverts them through the normal-form table in
+    :mod:`nilcones.partitions`.
+    """
+    n = x.nrows
+    if v.dim != n:
+        raise SizeMismatch("vector/matrix dims differ")
+    lam = jordan_type_nilpotent(x)
+    cyc = _cyclic_basis(x, v)
+    m = len(cyc)
+    if m == 0:
+        sigma = lam
+    else:
+        f = x.field
+        cols = [list(w.entries) for w in cyc]
+        chosen, echelon = [], []
+        for j in range(n):
+            cand = [f.zero] * n
+            cand[j] = f.one
+            if _extends_echelon(f, echelon, cols + chosen + [cand]):
+                chosen.append(cand)
+            if m + len(chosen) == n:
+                break
+        p_mat = Mat(f, tuple(zip(*(cols + chosen))))
+        conj = inverse(p_mat).mul(x).mul(p_mat)
+        quot = Mat(f, tuple(row[m:] for row in conj.rows[m:]))
+        sigma = jordan_type_nilpotent(quot)
+    b = partitions.bipartition_from_invariants(n, lam, sigma)
+    return b.mu, b.nu
+
+
+def _extends_echelon(f, echelon, vectors):
+    """True iff the candidate set is independent; keeps echelon as cache."""
+    echelon.clear()
+    for vec in vectors:
+        v = list(vec)
+        for piv_col, piv_row in echelon:
+            if v[piv_col] != f.zero:
+                t = v[piv_col]
+                v = [f.sub(a, f.mul(t, b)) for a, b in zip(v, piv_row)]
+        piv = next((j for j, a in enumerate(v) if a != f.zero), None)
+        if piv is None:
+            return False
+        inv = f.inv(v[piv])
+        echelon.append((piv, [f.mul(inv, a) for a in v]))
+    return True
+
+
+# ---------------------------------------------------------------------------
+# stabilizer dimensions
+# ---------------------------------------------------------------------------
+
+
+def stabilizer_dim_gl(v, x):
+    """dim {A in gl_n : Av = 0, Ax = xA} via one exact nullity computation."""
+    _same_field(v, x)
+    n = x.nrows
+    if not x.is_square() or v.dim != n:
+        raise SizeMismatch("need x square and v of matching dim")
+    f = x.field
+    zero = f.zero
+    eqs = []
+    for i in range(n):
+        row = [zero] * (n * n)
+        for j in range(n):
+            row[i * n + j] = v.entries[j]
+        eqs.append(row)
+    for i in range(n):
+        for j in range(n):
+            row = [zero] * (n * n)
+            for k in range(n):
+                row[i * n + k] = f.add(row[i * n + k], x.entry(k, j))
+                row[k * n + j] = f.sub(row[k * n + j], x.entry(i, k))
+            eqs.append(row)
+    return n * n - rank(Mat(f, tuple(tuple(r) for r in eqs)))
+
+
+def omega_matrix(field, n):
+    """The fixed symplectic form [[0, I], [-I, 0]] on k^{2n}."""
+    zero, one = field.zero, field.one
+    rows = []
+    for i in range(2 * n):
+        row = [zero] * (2 * n)
+        if i < n:
+            row[n + i] = one
+        else:
+            row[i - n] = field.neg(one)
+        rows.append(tuple(row))
+    return Mat(field, tuple(rows))
+
+
+def has_wedge_block_form(x):
+    """Block test [[A, B], [C, tA]] with B, C skew-symmetric."""
+    if not x.is_square() or x.nrows % 2:
+        return False
+    n = x.nrows // 2
+    f = x.field
+    for i in range(n):
+        for j in range(n):
+            if x.entry(n + i, n + j) != x.entry(j, i):
+                return False
+            if x.entry(i, n + j) != f.neg(x.entry(j, n + i)):
+                return False
+            if x.entry(n + i, j) != f.neg(x.entry(n + j, i)):
+                return False
+    return True
+
+
+def stabilizer_dim_sp(v, x):
+    """dim {A in sp_2n : Av = 0, Ax = xA}.
+
+    Requires x in the self-adjoint (wedge) block form; the symplectic
+    condition tA.Omega + Omega.A = 0 is appended to the gl system.
+    """
+    _same_field(v, x)
+    if x.field.char == 2:
+        from .errors import CharTwo
+
+        raise CharTwo("symplectic stabilizers need characteristic != 2")
+    if not x.is_square() or x.nrows % 2:
+        raise SizeMismatch("need a 2n x 2n matrix")
+    if not has_wedge_block_form(x):
+        raise WedgeViolation("x is not in the self-adjoint block form")
+    d = x.nrows
+    if v.dim != d:
+        raise SizeMismatch("vector dim must be 2n")
+    f = x.field
+    zero = f.zero
+    omega = omega_matrix(f, d // 2)
+    eqs = []
+    for i in range(d):
+        row = [zero] * (d * d)
+        for j in range(d):
+            row[i * d + j] = v.entries[j]
+        eqs.append(row)
+    for i in range(d):
+        for j in range(d):
+            row = [zero] * (d * d)
+            for k in range(d):
+                row[i * d + k] = f.add(row[i * d + k], x.entry(k, j))
+                row[k * d + j] = f.sub(row[k * d + j], x.entry(i, k))
+            eqs.append(row)
+    for i in range(d):
+        for j in range(d):
+            row = [zero] * (d * d)
+            for k in range(d):
+                # (tA Omega)_{ij} = sum_k A_{ki} Omega_{kj}
+                row[k * d + i] = f.add(row[k * d + i], omega.entry(k, j))
+                # (Omega A)_{ij} = sum_k Omega_{ik} A_{kj}
+                row[k * d + j] = f.add(row[k * d + j], omega.entry(i, k))
+            eqs.append(row)
+    return d * d - rank(Mat(f, tuple(tuple(r) for r in eqs)))
+
+
+# ---------------------------------------------------------------------------
+# subspace enumeration over F_p
+# ---------------------------------------------------------------------------
+
+
+def gaussian_binomial(n, d, p):
+    num = den = 1
+    for i in range(d):
+        num *= p ** (n - i) - 1
+        den *= p ** (d - i) - 1
+    return num // den
+
+
+def enumerate_subspaces(n, d, p):
+    """Yield every d-dimensional subspace of F_p^n exactly once.
+
+    Each subspace appears as its reduced-row-echelon basis, a d x n Mat
+    over GF(p).  Hard budget: n <= 5 and p in {2, 3, 5}.
+    """
+    if n > SUBSPACE_BUDGET_N or p not in SUBSPACE_PRIMES:
+        raise BudgetExceeded(f"subspace enumeration capped at n <= {SUBSPACE_BUDGET_N}, p in {SUBSPACE_PRIMES}")
+    if not 0 <= d <= n:
+        raise ValueError("need 0 <= d <= n")
+    field = GF(p)
+    if d == 0:
+        yield Mat(field, ())
+        return
+    for pivots in combinations(range(n), d):
+        free_slots = [(r, c) for r in range(d) for c in range(n)
+                      if c > pivots[r] and c not in pivots]
+        for values in product(range(p), repeat=len(free_slots)):
+            rows = [[0] * n for _ in range(d)]
+            for r in range(d):
+                rows[r][pivots[r]] = 1
+            for (r, c), val in zip(free_slots, values):
+                rows[r][c] = val
+            yield Mat(field, tuple(tuple(r) for r in rows))
+
+
+# ---------------------------------------------------------------------------
+# polynomials (coefficient lists, lowest degree first)
+# ---------------------------------------------------------------------------
+
+
+def _pnorm(f, a):
+    while a and a[-1] == f.zero:
+        a.pop()
+    return a
+
+
+def _padd(f, a, b):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else f.zero) for i in range(n)]
+    for i, c in enumerate(b):
+        out[i] = f.add(out[i], c)
+    return _pnorm(f, out)
+
+
+def _psub(f, a, b):
+    return _padd(f, list(a), [f.neg(c) for c in b])
+
+
+def _pscale(f, c, a):
+    return _pnorm(f, [f.mul(c, x) for x in a])
+
+
+def _pmul(f, a, b):
+    if not a or not b:
+        return []
+    out = [f.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == f.zero:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return _pnorm(f, out)
+
+
+def _pdivmod(f, a, b):
+    a = list(a)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = f.inv(b[-1])
+    q = [f.zero] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b) and a:
+        c = f.mul(a[-1], inv)
+        s = len(a) - len(b)
+        q[s] = c
+        for i, x in enumerate(b):
+            a[s + i] = f.sub(a[s + i], f.mul(c, x))
+        _pnorm(f, a)
+        if len(a) >= len(b) and a and a[-1] == f.zero:
+            _pnorm(f, a)
+    return _pnorm(f, q), a
+
+
+def _pxgcd(f, a, b):
+    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [f.one], []
+    t0, t1 = [], [f.one]
+    while r1:
+        q, r = _pdivmod(f, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(f, s0, _pmul(f, q, s1))
+        t0, t1 = t1, _psub(f, t0, _pmul(f, q, t1))
+    if r0:
+        inv = f.inv(r0[-1])
+        r0 = _pscale(f, inv, r0)
+        s0 = _pscale(f, inv, s0)
+        t0 = _pscale(f, inv, t0)
+    return r0, s0, t0
+
+
+def _peval_matrix(f, poly, x):
+    """Evaluate a polynomial (low->high coefficients) at a square matrix."""
+    n = x.nrows
+    acc = Mat.zeros(f, n)
+    for c in reversed(poly):
+        acc = acc.mul(x).add(Mat.scalar(f, n, c))
+    return acc
+
+
+def _divisors(n):
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _roots_with_multiplicity(field, monic_high_first):
+    """All roots in the field, with multiplicity; (roots, residual factor).
+
+    The residual factor is the monic part left after deflating every root,
+    highest degree first; it is () when the polynomial splits.
+    """
+    f = field
+    poly = list(reversed(monic_high_first))  # low -> high
+    roots = []
+
+    def deflate(r):
+        count = 0
+        nonlocal poly
+        while len(poly) > 1:
+            q, rem = _pdivmod(f, poly, [f.neg(r), f.one])
+            if rem:
+                break
+            poly = q
+            count += 1
+        return count
+
+    if isinstance(f, PrimeField):
+        for cand in f.elements():
+            m = deflate(f.of(cand))
+            if m:
+                roots.append((f.of(cand), m))
+            if len(poly) == 1:
+                break
+    else:
+        m0 = deflate(f.zero)
+        if m0:
+            roots.append((f.zero, m0))
+        if len(poly) > 1:
+            lcm = 1
+            for c in poly:
+                lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+            ints = [int(c * lcm) for c in poly]
+            lead, const = ints[-1], ints[0]
+            cands = set()
+            for pnum in _divisors(const):
+                for pden in _divisors(lead):
+                    cands.add(Fraction(pnum, pden))
+                    cands.add(Fraction(-pnum, pden))
+            for cand in sorted(cands):
+                m = deflate(cand)
+                if m:
+                    roots.append((cand, m))
+                if len(poly) == 1:
+                    break
+    residual = tuple(reversed(poly)) if len(poly) > 1 else ()
+    return roots, residual
+
+
+def eigenvalues_with_multiplicity(x):
+    """Sorted (eigenvalue, multiplicity) pairs; NonSplitSpectrum if the
+    characteristic polynomial has a factor with no root in the field."""
+    roots, residual = _roots_with_multiplicity(x.field, _charpoly_monic(x))
+    if residual:
+        raise NonSplitSpectrum(residual)
+    return sorted(roots, key=lambda rm: rm[0])
+
+
+def jordan_chevalley_split(x):
+    """Split x = x_s + x_n with x_s diagonalisable, x_n nilpotent, both
+    polynomials in x.  Requires the spectrum to split over the base field.
+
+    The semisimple part is s(x) where s solves the congruences
+    s = a_i mod (t - a_i)^{m_i} (Chinese remaindering in k[t]).
+    """
+    if not x.is_square():
+        raise SizeMismatch("need a square matrix")
+    f = x.field
+    n = x.nrows
+    eig = eigenvalues_with_multiplicity(x)
+    if len(eig) == 1:
+        xs = Mat.scalar(f, n, eig[0][0])
+        return xs, x.sub(xs)
+    full = [f.one]
+    for a, m in eig:
+        for _ in range(m):
+            full = _pmul(f, full, [f.neg(a), f.one])
+    s_poly = []
+    for a, m in eig:
+        modulus = [f.one]
+        for _ in range(m):
+            modulus = _pmul(f, modulus, [f.neg(a), f.one])
+        q, rem = _pdivmod(f, full, modulus)
+        assert not rem
+        g, u, _ = _pxgcd(f, q, modulus)
+        assert g == [f.one]
+        e = _pdivmod(f, _pmul(f, q, u), full)[1]
+        s_poly = _padd(f, s_poly, _pscale(f, a, e))
+    xs = _peval_matrix(f, s_poly, x)
+    xn = x.sub(xs)
+    assert xs.mul(xn).rows == xn.mul(xs).rows
+    return xs, xn
+
+
+def limit_along_cocharacter(weights, v, x):
+    """Limit at t -> 0 of the torus action t.(v, x) with the given weights.
+
+    The action scales v_i by t^{w_i} and x_{ij} by t^{w_i - w_j}.  Returns
+    the limit pair when every monomial carrying a nonzero coefficient has
+    exponent >= 0, else None.
+    """
+    _same_field(v, x)
+    n = v.dim
+    if len(weights) != n or x.nrows != n or x.ncols != n:
+        raise SizeMismatch("weights/vector/matrix dims differ")
+    f = v.field
+    zero = f.zero
+    new_v = []
+    for i, e in enumerate(v.entries):
+        if e != zero and weights[i] < 0:
+            return None
+        new_v.append(e if weights[i] == 0 else zero)
+    new_rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = x.entry(i, j)
+            w = weights[i] - weights[j]
+            if e != zero and w < 0:
+                return None
+            row.append(e if w == 0 else zero)
+        new_rows.append(tuple(row))
+    return Vec(f, tuple(new_v)), Mat(f, tuple(new_rows))
+
+
+# ---------------------------------------------------------------------------
+# seeded exact group elements (fuzzing support for the verify suites)
+# ---------------------------------------------------------------------------
+
+
+def random_gl(n, rng, steps=None):
+    """A random element of GL_n(Q) with exact inverse: a product of integer
+    shears and diagonal sign flips, so the determinant is +-1."""
+    f = QQ
+    rows = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    steps = 3 * n if steps is None else steps
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = f.of(rng.choice([-2, -1, 1, 2]))
+        for col in range(n):
+            rows[j][col] = f.add(rows[j][col], f.mul(c, rows[i][col]))
+    if rng.random() < 0.5 and n:
+        k = rng.randrange(n)
+        rows[k] = [f.neg(e) for e in rows[k]]
+    return Mat(f, tuple(tuple(r) for r in rows))
+
+
+def random_sp(n, rng, steps=3):
+    """A random element of Sp_2n(Q): a product of diag(g, tg^{-1}) blocks
+    and unipotent upper/lower blocks with symmetric off-diagonal part."""
+    f = QQ
+    total = Mat.identity(f, 2 * n)
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        if kind == 0:
+            g = random_gl(n, rng)
+            git = inverse(g).transpose()
+            rows = []
+            for i in range(n):
+                rows.append(tuple(g.rows[i]) + (f.zero,) * n)
+            for i in range(n):
+                rows.append((f.zero,) * n + tuple(git.rows[i]))
+            elem = Mat(f, tuple(rows))
+        else:
+            b = [[f.zero] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    c = f.of(rng.randint(-2, 2))
+                    b[i][j] = c
+                    b[j][i] = c
+            rows = []
+            for i in range(n):
+                top = [f.one if i == j else f.zero for j in range(n)]
+                rows.append(tuple(top) + tuple(b[i] if kind == 1 else [f.zero] * n))
+            for i in range(n):
+                bot = [f.one if i == j else f.zero for j in range(n)]
+                rows.append(tuple(b[i] if kind == 2 else [f.zero] * n) + tuple(bot))
+            elem = Mat(f, tuple(rows))
+        total = total.mul(elem)
+    return total
