@@ -49,7 +49,6 @@ from .enhanced import (
 )
 from .exotic import (
     ExoticElement,
-    SymplecticForm,
     build_semisimple_exotic,
     embed_phi,
     embed_psi,

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .errors import BudgetExceeded, NotRigidDatum, SizeMismatch
 from .fields import GF, QQ
-from .linalg import Mat, Vec, jordan_chevalley_split, restricted_jordan_type
+from .linalg import Mat, Vec, echelon_patterns, jordan_chevalley_split, restricted_jordan_type
 from .partitions import (
     Bipartition,
     Composition,
     add,
     ah_closure_leq,
     enumerate_bipartitions,
+    sum_bipartitions,
     transpose,
 )
 
@@ -157,11 +158,7 @@ class InductionDatum:
 
 def induce(d):
     """Induced orbit label: part-wise sums (sum mu^(i); sum nu^(i))."""
-    mu, nu = (), ()
-    for b in d.per_block:
-        mu = add(mu, b.mu)
-        nu = add(nu, b.nu)
-    return Bipartition(mu, nu)
+    return sum_bipartitions(d.per_block)
 
 
 def induce_from_vector(d):
@@ -299,23 +296,6 @@ def _nullspace_p(mat_rows, p, n):
     return _echelon(basis, p)
 
 
-def _rref_patterns(q, d, p):
-    """All d x q reduced-echelon coefficient matrices over F_p."""
-    if d == 0:
-        yield ()
-        return
-    for pivots in combinations(range(q), d):
-        free_slots = [(r, c) for r in range(d) for c in range(q)
-                      if c > pivots[r] and c not in pivots]
-        for values in product(range(p), repeat=len(free_slots)):
-            rows = [[0] * q for _ in range(d)]
-            for r in range(d):
-                rows[r][pivots[r]] = 1
-            for (r, c), val in zip(free_slots, values):
-                rows[r][c] = val
-            yield tuple(tuple(r) for r in rows)
-
-
 def _subspaces_between(S, T, d, p, n):
     """All echelon bases F with span(S) <= F <= span(T), dim F = d."""
     s, t = len(S), len(T)
@@ -332,7 +312,7 @@ def _subspaces_between(S, T, d, p, n):
             if len(ech) > len(complement):
                 complement = [r for _, r in ech]
     assert len(complement) == t - s
-    for pattern in _rref_patterns(t - s, d - s, p):
+    for pattern in echelon_patterns(t - s, d - s, p):
         lifted = []
         for prow in pattern:
             vec = [0] * n

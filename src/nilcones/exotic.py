@@ -49,28 +49,6 @@ class ExoticElement:
         return self.x.field
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The fixed symplectic structure on k^{2n}, basis ordered
-    e_1..e_n, e*_1..e*_n.
-
-    The one-dimensional invariant subspace of the wedge square (the form
-    itself, sum of e*_i wedge e_i) corresponds to the identity matrix
-    under the self-adjoint identification; it is recorded here for
-    reference and consumed by no operation.
-    """
-
-    n: int
-
-    def matrix(self, field=QQ):
-        _reject_char_two(field)
-        return omega_matrix(field, self.n)
-
-    def trivial_submodule_generator(self, field=QQ):
-        _reject_char_two(field)
-        return Mat.identity(field, 2 * self.n)
-
-
 def is_wedge_element(x):
     """Self-adjointness test: [[A, B], [C, tA]] with tB = -B, tC = -C."""
     _reject_char_two(x.field)

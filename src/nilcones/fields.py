@@ -30,6 +30,11 @@ class RationalField:
     char = 0
 
     def of(self, x):
+        """Exact coercion: ints, Fractions and rational text; no floats."""
+        if type(x) is Fraction:
+            return x
+        if isinstance(x, float):
+            raise TypeError(f"inexact scalar {x!r}: pass an int, a Fraction or rational text")
         return Fraction(x)
 
     zero = Fraction(0)
@@ -86,7 +91,17 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, x):
-        return int(x) % self.p
+        """Exact coercion of what Q accepts: an int reduces mod p, and a
+        Fraction or rational text through the inverse of its denominator
+        (ValueError when p divides it); no floats."""
+        if type(x) is int:
+            return x % self.p
+        if isinstance(x, float):
+            raise TypeError(f"inexact scalar {x!r}: pass an int, a Fraction or rational text")
+        x = Fraction(x)
+        if x.denominator % self.p == 0:
+            raise ValueError(f"denominator of {x} not invertible mod {self.p}")
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -20,14 +20,14 @@ from .fields import QQ
 from .linalg import Mat, Vec, eigenvalues_with_multiplicity, inverse, nullspace
 from .enhanced import EnhancedElement, build_representative, identify_orbit, jkv_decompose, orbit_dim
 from .partitions import (
-    Bipartition,
-    add,
     ah_closure_leq,
     check_partition,
     enumerate_bipartitions,
     format_bipartition,
     halve,
     order_key,
+    part_runs,
+    sum_bipartitions,
 )
 
 CLASS_BUDGET_N = 12
@@ -80,16 +80,8 @@ def enumerate_classes(n):
 
     out = []
     for lam in sorted(partitions_of(n), key=lambda t: (len(t), t)):
-        runs = []
-        i = 0
-        while i < len(lam):
-            j = i
-            while j < len(lam) and lam[j] == lam[i]:
-                j += 1
-            runs.append((lam[i], j - i))
-            i = j
         per_run_choices = []
-        for value, count in runs:
+        for value, count in part_runs(lam):
             labels = sorted(enumerate_bipartitions(value), key=order_key)
             per_run_choices.append(list(combinations_with_replacement(labels, count)))
         def assemble(idx, acc):
@@ -142,11 +134,7 @@ def class_orbit_dim(c):
 def class_nilcone_orbit(c):
     """The unique nilpotent orbit whose closure is the intersection of the
     class closure with the nilpotent cone: induce all blocks, i.e. sum."""
-    mu, nu = (), ()
-    for b in c.blocks:
-        mu = add(mu, b.mu)
-        nu = add(nu, b.nu)
-    return Bipartition(mu, nu)
+    return sum_bipartitions(c.blocks)
 
 
 def build_class_representative(c, eigenvalues=None, field=QQ):
@@ -248,6 +236,16 @@ def class_closure_leq(c1, c2):
     """
     if c1.n != c2.n:
         raise SizeMismatch("labels have different sizes")
+    return merge_exists(c1, c2, ah_closure_leq)
+
+
+def merge_exists(c1, c2, accept):
+    """True iff the parts of lam(c2) can be merged onto the parts of lam(c1)
+    (sums respected) so that ``accept(block, induced)`` holds for every part
+    of c1, where induced is the sum of the c2 blocks merged into it.
+
+    A backtracking search; targets in the same state are tried once.
+    """
     items = list(zip(c2.lam, c2.blocks))
     targets = list(zip(c1.lam, c1.blocks))
     remaining = [p for p, _ in targets]
@@ -260,20 +258,12 @@ def class_closure_leq(c1, c2):
         seen = set()
         for t in range(len(targets)):
             state = (remaining[t], targets[t])
-            if state in seen:
+            if state in seen or remaining[t] < size:
                 continue
             seen.add(state)
-            if remaining[t] < size:
-                continue
             remaining[t] -= size
             assigned[t].append(block)
-            ok = True
-            if remaining[t] == 0:
-                merged_mu, merged_nu = (), ()
-                for b in assigned[t]:
-                    merged_mu = add(merged_mu, b.mu)
-                    merged_nu = add(merged_nu, b.nu)
-                ok = ah_closure_leq(targets[t][1], Bipartition(merged_mu, merged_nu))
+            ok = remaining[t] > 0 or accept(targets[t][1], sum_bipartitions(assigned[t]))
             if ok and feasible(idx + 1):
                 return True
             remaining[t] += size

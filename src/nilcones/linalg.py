@@ -189,10 +189,7 @@ def _convert_scalar(e, src, dst):
     if src == dst:
         return e
     if isinstance(src, RationalField) and isinstance(dst, PrimeField):
-        num, den = e.numerator, e.denominator
-        if den % dst.p == 0:
-            raise ValueError(f"denominator of {e} not invertible mod {dst.p}")
-        return dst.div(dst.of(num), dst.of(den))
+        return dst.of(e)
     raise ValueError(f"no conversion {src} -> {dst}")
 
 
@@ -231,29 +228,42 @@ def _rank_bareiss(int_rows):
     return r
 
 
-def _rank_field(field, rows):
+def _eliminate(field, rows, full):
+    """Gaussian elimination on a copy of rows; returns (rows, pivot columns).
+
+    With ``full=False`` only the rows below each pivot are cleared, which
+    stops at a row echelon form (enough for the rank); with ``full=True``
+    each pivot row is normalised and cleared from every other row, giving
+    the reduced row echelon form.
+    """
+    f = field
+    zero = f.zero
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if a else 0
-    zero = field.zero
-    r = 0
+    pivots = []
     for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if a[i][c] != zero), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = field.inv(a[r][c])
-        for i in range(r + 1, m):
-            if a[i][c] == zero:
+        row_r = a[r]
+        inv = f.inv(row_r[c])
+        if full:
+            row_r[c:] = [f.mul(inv, e) for e in row_r[c:]]
+        # entries left of column c are zero in the pivot row, so every
+        # update starts at column c
+        for i in range(0 if full else r + 1, m):
+            row_i = a[i]
+            if i == r or row_i[c] == zero:
                 continue
-            t = field.mul(a[i][c], inv)
-            row_i, row_r = a[i], a[r]
-            for j in range(c, n):
-                row_i[j] = field.sub(row_i[j], field.mul(t, row_r[j]))
-        r += 1
-        if r == m:
-            break
-    return r
+            t = row_i[c] if full else f.mul(row_i[c], inv)
+            row_i[c:] = [f.sub(e, f.mul(t, q)) for e, q in zip(row_i[c:], row_r[c:])]
+        pivots.append(c)
+    return a, pivots
 
 
 def rank(m):
@@ -271,32 +281,13 @@ def rank(m):
                 l = l * e.denominator // gcd(l, e.denominator)
             cleared.append([int(e * l) for e in row])
         return _rank_bareiss(cleared)
-    return _rank_field(m.field, m.rows)
+    return len(_eliminate(m.field, m.rows, full=False)[1])
 
 
 def rref(m):
     """Reduced row echelon form; returns (Mat, pivot column tuple)."""
-    f = m.field
-    a = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != f.zero), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, e) for e in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != f.zero:
-                t = a[i][c]
-                a[i] = [f.sub(e, f.mul(t, p)) for e, p in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Mat(f, tuple(tuple(row) for row in a)), tuple(pivots)
+    a, pivots = _eliminate(m.field, m.rows, full=True)
+    return Mat(m.field, tuple(tuple(row) for row in a)), tuple(pivots)
 
 
 def nullspace(m):
@@ -407,29 +398,35 @@ def charpoly(m):
     return _charpoly_monic(m)[1:]
 
 
-def _power_ranks(x):
-    """Ranks of x^0, x^1, ... down to 0; NotNilpotent if x^n has rank > 0."""
+def _power_ranks(x, w=()):
+    """Ranks of x^0, x^1, ... on k^n / W, down to 0, where W is the span of
+    the independent x-stable vectors w: rank([x^i | W]) - dim W.
+    NotNilpotent if x^n still has positive rank there."""
     n = x.nrows
-    ranks = [n]
-    power = x
-    for _ in range(n):
-        r = rank(power)
-        ranks.append(r)
-        if r == 0:
-            return ranks
-        power = power.mul(x)
-    raise NotNilpotent("matrix is not nilpotent")
+    xt = x.transpose()  # the rows of (x^T)^i are the columns of x^i
+    w_rows = tuple(u.entries for u in w)
+    ranks = [n - len(w)]
+    power = xt
+    while ranks[-1]:
+        if len(ranks) > n:
+            raise NotNilpotent("matrix is not nilpotent")
+        if len(ranks) > 1:
+            power = power.mul(xt)
+        stacked = Mat(x.field, power.rows + w_rows) if w else power
+        ranks.append(rank(stacked) - len(w))
+    return ranks
+
+
+def _partition_from_ranks(ranks):
+    """The partition whose transpose has parts ranks[i-1] - ranks[i]."""
+    return partitions.transpose(tuple(a - b for a, b in zip(ranks, ranks[1:])))
 
 
 def jordan_type_nilpotent(x):
     """Partition of n whose transpose has parts rank(x^{i-1}) - rank(x^i)."""
     if not x.is_square():
         raise SizeMismatch("need a square matrix")
-    if x.nrows == 0:
-        return ()
-    ranks = _power_ranks(x)
-    col = tuple(ranks[i - 1] - ranks[i] for i in range(1, len(ranks)))
-    return partitions.transpose(col)
+    return _partition_from_ranks(_power_ranks(x))
 
 
 def _cyclic_basis(x, v):
@@ -446,52 +443,20 @@ def restricted_jordan_type(x, v):
     """Orbit label (mu, nu) of the pair (v, x) with x nilpotent.
 
     Computes the two conjugation invariants -- the Jordan type of x and the
-    Jordan type of x on the quotient by the cyclic subspace generated by v
-    -- and inverts them through the normal-form table in
-    :mod:`nilcones.partitions`.
+    Jordan type of x on the quotient by the cyclic subspace W = k[x]v, read
+    off the ranks of [x^i | W] -- and inverts them through the normal-form
+    table in :mod:`nilcones.partitions`.
     """
     n = x.nrows
     if v.dim != n:
         raise SizeMismatch("vector/matrix dims differ")
+    # lam first: it raises NotNilpotent, and on a non-nilpotent x the cyclic
+    # iteration below would never reach zero
     lam = jordan_type_nilpotent(x)
     cyc = _cyclic_basis(x, v)
-    m = len(cyc)
-    if m == 0:
-        sigma = lam
-    else:
-        f = x.field
-        cols = [list(w.entries) for w in cyc]
-        chosen, echelon = [], []
-        for j in range(n):
-            cand = [f.zero] * n
-            cand[j] = f.one
-            if _extends_echelon(f, echelon, cols + chosen + [cand]):
-                chosen.append(cand)
-            if m + len(chosen) == n:
-                break
-        p_mat = Mat(f, tuple(zip(*(cols + chosen))))
-        conj = inverse(p_mat).mul(x).mul(p_mat)
-        quot = Mat(f, tuple(row[m:] for row in conj.rows[m:]))
-        sigma = jordan_type_nilpotent(quot)
+    sigma = _partition_from_ranks(_power_ranks(x, cyc)) if cyc else lam
     b = partitions.bipartition_from_invariants(n, lam, sigma)
     return b.mu, b.nu
-
-
-def _extends_echelon(f, echelon, vectors):
-    """True iff the candidate set is independent; keeps echelon as cache."""
-    echelon.clear()
-    for vec in vectors:
-        v = list(vec)
-        for piv_col, piv_row in echelon:
-            if v[piv_col] != f.zero:
-                t = v[piv_col]
-                v = [f.sub(a, f.mul(t, b)) for a, b in zip(v, piv_row)]
-        piv = next((j for j, a in enumerate(v) if a != f.zero), None)
-        if piv is None:
-            return False
-        inv = f.inv(v[piv])
-        echelon.append((piv, [f.mul(inv, a) for a in v]))
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +464,10 @@ def _extends_echelon(f, echelon, vectors):
 # ---------------------------------------------------------------------------
 
 
-def stabilizer_dim_gl(v, x):
-    """dim {A in gl_n : Av = 0, Ax = xA} via one exact nullity computation."""
+def stabilizer_system(v, x):
+    """The linear system Av = 0, Ax = xA on the n*n entries of A (row-major
+    order), one equation per row; its nullspace is the stabilizer of (v, x)
+    in gl_n."""
     _same_field(v, x)
     n = x.nrows
     if not x.is_square() or v.dim != n:
@@ -510,17 +477,21 @@ def stabilizer_dim_gl(v, x):
     eqs = []
     for i in range(n):
         row = [zero] * (n * n)
-        for j in range(n):
-            row[i * n + j] = v.entries[j]
-        eqs.append(row)
+        row[i * n:(i + 1) * n] = v.entries
+        eqs.append(tuple(row))
     for i in range(n):
         for j in range(n):
             row = [zero] * (n * n)
             for k in range(n):
                 row[i * n + k] = f.add(row[i * n + k], x.entry(k, j))
                 row[k * n + j] = f.sub(row[k * n + j], x.entry(i, k))
-            eqs.append(row)
-    return n * n - rank(Mat(f, tuple(tuple(r) for r in eqs)))
+            eqs.append(tuple(row))
+    return Mat(f, tuple(eqs))
+
+
+def stabilizer_dim_gl(v, x):
+    """dim {A in gl_n : Av = 0, Ax = xA} via one exact nullity computation."""
+    return x.nrows * x.nrows - rank(stabilizer_system(v, x))
 
 
 def omega_matrix(field, n):
@@ -558,7 +529,8 @@ def stabilizer_dim_sp(v, x):
     """dim {A in sp_2n : Av = 0, Ax = xA}.
 
     Requires x in the self-adjoint (wedge) block form; the symplectic
-    condition tA.Omega + Omega.A = 0 is appended to the gl system.
+    condition tA.Omega + Omega.A = 0 is appended to the gl system
+    (:func:`stabilizer_system`).
     """
     _same_field(v, x)
     if x.field.char == 2:
@@ -577,18 +549,6 @@ def stabilizer_dim_sp(v, x):
     omega = omega_matrix(f, d // 2)
     eqs = []
     for i in range(d):
-        row = [zero] * (d * d)
-        for j in range(d):
-            row[i * d + j] = v.entries[j]
-        eqs.append(row)
-    for i in range(d):
-        for j in range(d):
-            row = [zero] * (d * d)
-            for k in range(d):
-                row[i * d + k] = f.add(row[i * d + k], x.entry(k, j))
-                row[k * d + j] = f.sub(row[k * d + j], x.entry(i, k))
-            eqs.append(row)
-    for i in range(d):
         for j in range(d):
             row = [zero] * (d * d)
             for k in range(d):
@@ -596,8 +556,8 @@ def stabilizer_dim_sp(v, x):
                 row[k * d + i] = f.add(row[k * d + i], omega.entry(k, j))
                 # (Omega A)_{ij} = sum_k Omega_{ik} A_{kj}
                 row[k * d + j] = f.add(row[k * d + j], omega.entry(i, k))
-            eqs.append(row)
-    return d * d - rank(Mat(f, tuple(tuple(r) for r in eqs)))
+            eqs.append(tuple(row))
+    return d * d - rank(Mat(f, stabilizer_system(v, x).rows + tuple(eqs)))
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +573,24 @@ def gaussian_binomial(n, d, p):
     return num // den
 
 
+def echelon_patterns(n, d, p):
+    """Every d x n reduced-row-echelon matrix over F_p, as a tuple of int
+    rows: one per d-dimensional subspace of F_p^n.  No budget check."""
+    if d == 0:
+        yield ()
+        return
+    for pivots in combinations(range(n), d):
+        free_slots = [(r, c) for r in range(d) for c in range(n)
+                      if c > pivots[r] and c not in pivots]
+        for values in product(range(p), repeat=len(free_slots)):
+            rows = [[0] * n for _ in range(d)]
+            for r in range(d):
+                rows[r][pivots[r]] = 1
+            for (r, c), val in zip(free_slots, values):
+                rows[r][c] = val
+            yield tuple(tuple(r) for r in rows)
+
+
 def enumerate_subspaces(n, d, p):
     """Yield every d-dimensional subspace of F_p^n exactly once.
 
@@ -624,19 +602,8 @@ def enumerate_subspaces(n, d, p):
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     field = GF(p)
-    if d == 0:
-        yield Mat(field, ())
-        return
-    for pivots in combinations(range(n), d):
-        free_slots = [(r, c) for r in range(d) for c in range(n)
-                      if c > pivots[r] and c not in pivots]
-        for values in product(range(p), repeat=len(free_slots)):
-            rows = [[0] * n for _ in range(d)]
-            for r in range(d):
-                rows[r][pivots[r]] = 1
-            for (r, c), val in zip(free_slots, values):
-                rows[r][c] = val
-            yield Mat(field, tuple(tuple(r) for r in rows))
+    for rows in echelon_patterns(n, d, p):
+        yield Mat(field, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import index
 
 from .errors import BudgetExceeded, ParseError, SizeMismatch
 
@@ -20,8 +22,12 @@ IDENTIFY_BUDGET = 16
 
 
 def check_partition(parts):
-    """Validate and normalise a sequence into a partition tuple."""
-    parts = tuple(int(p) for p in parts)
+    """Validate and normalise a sequence into a partition tuple of ints."""
+    parts = tuple(parts)
+    try:
+        parts = tuple(index(p) for p in parts)
+    except TypeError:
+        raise ValueError(f"partition parts must be integers: {parts}") from None
     if any(p <= 0 for p in parts):
         raise ValueError(f"partition parts must be positive: {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -44,6 +50,11 @@ def add(lam, mu):
         b = mu[i] if i < len(mu) else 0
         out.append(a + b)
     return tuple(p for p in out if p > 0)
+
+
+def part_runs(lam):
+    """(part, count) for each run of equal parts of lam, in order."""
+    return [(p, len(tuple(run))) for p, run in groupby(lam)]
 
 
 def multiplicity(lam, i):
@@ -99,6 +110,16 @@ class Bipartition:
 
     def __str__(self):
         return format_bipartition(self)
+
+
+def sum_bipartitions(blocks):
+    """Part-wise sum (sum mu^(i); sum nu^(i)) of a sequence of bipartitions;
+    the label of the orbit induced from the blocks."""
+    mu, nu = (), ()
+    for b in blocks:
+        mu = add(mu, b.mu)
+        nu = add(nu, b.nu)
+    return Bipartition(mu, nu)
 
 
 def order_key(b):
@@ -309,15 +330,7 @@ def format_partition(parts, exponents=True):
         return ""
     if not exponents:
         return ",".join(str(p) for p in parts)
-    out, i = [], 0
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        run = j - i
-        out.append(f"{parts[i]}^{run}" if run > 1 else str(parts[i]))
-        i = j
-    return ",".join(out)
+    return ",".join(f"{p}^{run}" if run > 1 else str(p) for p, run in part_runs(parts))
 
 
 def parse_bipartition(text):

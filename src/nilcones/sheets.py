@@ -16,7 +16,6 @@ from itertools import product
 
 from .errors import BudgetExceeded, CharTwo, ModuleMismatch, NotPerfectSquare, SizeMismatch
 from .enhanced import EnhancedElement
-from .exotic import ExoticElement
 from .jordan_classes import (
     ClassLabel,
     class_closure_leq,
@@ -24,7 +23,14 @@ from .jordan_classes import (
     enumerate_classes,
 )
 from .linalg import charpoly
-from .partitions import Bipartition, check_partition, multiplicity, partitions_of, transpose
+from .partitions import (
+    Bipartition,
+    check_partition,
+    multiplicity,
+    part_runs,
+    partitions_of,
+    transpose,
+)
 
 SHEET_BUDGET_N = 20
 MAXIMALITY_BUDGET_N = 6
@@ -80,14 +86,7 @@ def enumerate_sheets(n):
         raise BudgetExceeded(f"sheet enumeration capped at n <= {SHEET_BUDGET_N}")
     out = []
     for lam in sorted(partitions_of(n), key=lambda t: (len(t), t)):
-        runs = []
-        i = 0
-        while i < len(lam):
-            j = i
-            while j < len(lam) and lam[j] == lam[i]:
-                j += 1
-            runs.append(j - i)
-            i = j
+        runs = [d for _, d in part_runs(lam)]
         for vec_counts in product(*(range(d + 1) for d in runs)):
             choice = []
             for d, k in zip(runs, vec_counts):
@@ -205,14 +204,6 @@ def exotic_invariants(e):
     that are not a valid exotic element."""
     cp = charpoly(e.x)
     return InvariantVector(_poly_square_root(e.field, tuple(cp)))
-
-
-def invariants_of(e):
-    if isinstance(e, EnhancedElement):
-        return enhanced_invariants(e)
-    if isinstance(e, ExoticElement):
-        return exotic_invariants(e)
-    raise ModuleMismatch(f"not a module element: {type(e).__name__}")
 
 
 def same_fiber(e1, e2):

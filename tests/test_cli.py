@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -213,3 +216,12 @@ def test_build_hasse_dot_escaping():
     doc = build_hasse([1, 2], lambda a, b: a <= b, lambda x: f'q"{x}"', lambda x: x)
     assert r"\"" in doc.to_dot()
     assert doc.edges == ((0, 1),)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "nilcones", "orbits", "--n", "2"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "(;2)" in proc.stdout

@@ -28,6 +28,7 @@ from nilcones.linalg import (
     random_sp,
     rank,
     restricted_jordan_type,
+    rref,
     stabilizer_dim_gl,
     stabilizer_dim_sp,
 )
@@ -67,6 +68,58 @@ def test_rank_power_monotone():
             prev = r
 
 
+RANK_FIELDS = (QQ, GF(2), GF(3), GF(7))
+
+
+@st.composite
+def rank_matrices(draw):
+    """Non-square matrices over Q or F_p, some of whose rows are zero."""
+    field = draw(st.sampled_from(RANK_FIELDS))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if field == QQ:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        entry = st.integers(0, field.p - 1)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        rows[i] = [0] * n
+    return Mat(field, tuple(tuple(r) for r in rows))
+
+
+@given(rank_matrices())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_rank_matches_rref_and_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    r = rank(m)
+    assert r == len(rref(m)[1])
+    if m.field == QQ:
+        ref = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                            for row in m.rows]).rank()
+    else:
+        dom = sympy.GF(m.field.p)
+        ref = DomainMatrix([[dom(e) for e in row] for row in m.rows],
+                           (m.nrows, m.ncols), dom).rank()
+    assert r == ref
+
+
+def test_scalar_coercion_is_exact():
+    f3 = GF(3)
+    assert f3.of(Fraction(1, 2)) == 2  # 2 * 2 = 4 = 1 mod 3
+    assert rank(Mat(f3, ((Fraction(1, 2),),))) == 1
+    assert f3.of(Fraction(-4, 2)) == 1
+    with pytest.raises(ValueError):
+        f3.of(Fraction(1, 3))
+    with pytest.raises(TypeError):
+        QQ.of(0.1)
+    with pytest.raises(TypeError):
+        f3.of(2.7)
+    # exact inputs keep working: ints, Fractions and rational text
+    assert QQ.of("1/2") == Fraction(1, 2) and QQ.of(3) == 3
+    assert f3.of(-1) == 2 and f3.of("1/2") == 2 and f3.of(True) == 1
+
+
 def test_field_mismatch_rejected():
     with pytest.raises(ValueError):
         Mat(QQ, ((1,),)).add(Mat(GF(3), ((1,),)))
@@ -96,6 +149,9 @@ def test_restricted_jordan_type_examples():
     assert restricted_jordan_type(jordan_block(2), Vec(QQ, (0, 1))) == ((2,), ())
     with pytest.raises(NotNilpotent):
         restricted_jordan_type(Mat.identity(QQ, 2), Vec.zero(QQ, 2))
+    # a nonzero vector would never reach zero under the cyclic iteration
+    with pytest.raises(NotNilpotent):
+        restricted_jordan_type(Mat.identity(QQ, 2), Vec(QQ, (1, 0)))
 
 
 def test_restricted_jordan_type_large_example():

@@ -32,6 +32,10 @@ def test_check_partition_rejects_bad_input():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((2, 0))
+    with pytest.raises(ValueError):
+        Bipartition((2.5,), ())
+    with pytest.raises(ValueError):
+        check_partition((3.0, 1))
 
 
 def test_transpose_examples():
