@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import BudgetExceeded, NotRigidDatum, SizeMismatch
+from .errors import BudgetExceeded, InvariantViolation, NotRigidDatum, SizeMismatch
 from .fields import GF, QQ
 from .linalg import Mat, Vec, echelon_patterns, jordan_chevalley_split, restricted_jordan_type
 from .partitions import (
@@ -49,9 +49,6 @@ class EnhancedElement:
     @property
     def field(self):
         return self.x.field
-
-    def to_field(self, field):
-        return EnhancedElement(self.n, self.v.to_field(field), self.x.to_field(field))
 
 
 def act(g, e):
@@ -311,7 +308,8 @@ def _subspaces_between(S, T, d, p, n):
             ech = _echelon(complement + [res], p)
             if len(ech) > len(complement):
                 complement = [r for _, r in ech]
-    assert len(complement) == t - s
+    if len(complement) != t - s:
+        raise InvariantViolation(f"complement of dimension {len(complement)}, not {t - s}")
     for pattern in echelon_patterns(t - s, d - s, p):
         lifted = []
         for prow in pattern:

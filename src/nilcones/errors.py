@@ -5,6 +5,11 @@ class NilconesError(Exception):
     """Base class for all library errors."""
 
 
+class InvariantViolation(NilconesError):
+    """An internal invariant of a computation does not hold: a defect in the
+    library, never a property of the input."""
+
+
 class SizeMismatch(NilconesError):
     pass
 

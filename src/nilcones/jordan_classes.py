@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .errors import BudgetExceeded, NotDoubled, RepeatedEigenvalue, SizeMismatch
+from .errors import BudgetExceeded, InvariantViolation, NotDoubled, RepeatedEigenvalue, SizeMismatch
 from .fields import QQ
-from .linalg import Mat, Vec, eigenvalues_with_multiplicity, inverse, nullspace
-from .enhanced import EnhancedElement, build_representative, identify_orbit, jkv_decompose, orbit_dim
+from .linalg import Mat, Vec, generalized_eigenbasis
+from .enhanced import EnhancedElement, build_representative, identify_orbit, orbit_dim
 from .partitions import (
     ah_closure_leq,
     check_partition,
@@ -27,6 +27,7 @@ from .partitions import (
     halve,
     order_key,
     part_runs,
+    positive_parts,
     sum_bipartitions,
 )
 
@@ -45,9 +46,7 @@ class ClassLabel:
     blocks: tuple
 
     def __post_init__(self):
-        lam = tuple(int(p) for p in self.lam)
-        if any(p <= 0 for p in lam):
-            raise ValueError(f"parts must be positive: {lam}")
+        lam = positive_parts(self.lam)
         blocks = tuple(self.blocks)
         if len(blocks) != len(lam):
             raise SizeMismatch("one bipartition per part required")
@@ -155,39 +154,31 @@ def build_class_representative(c, eigenvalues=None, field=QQ):
 
 
 def _eigen_block_data(e):
-    """Split (v, x) along generalized eigenspaces; returns a list of
-    (multiplicity, block EnhancedElement with nilpotent matrix)."""
+    """Split (v, x) along the generalized eigenspaces of x; returns a list of
+    (multiplicity, block EnhancedElement with nilpotent matrix).
+
+    In the basis p of :func:`generalized_eigenbasis`, x is block diagonal
+    with blocks a I + (the nilpotent part of x there), and v has the
+    coordinates p_inv v; each block keeps the nilpotent part and its slice
+    of the coordinates.
+    """
     f = e.field
-    n = e.n
-    _, nilp = jkv_decompose(e)
-    eig = eigenvalues_with_multiplicity(e.x)
-    columns = []
-    sizes = []
-    for a, m in eig:
-        shifted = e.x.sub(Mat.scalar(f, n, a))
-        power = Mat.identity(f, n)
-        for _ in range(m):
-            power = power.mul(shifted)
-        basis = nullspace(power)
-        assert len(basis) == m
-        columns.extend(list(v.entries) for v in basis)
-        sizes.append(m)
-    p_mat = Mat(f, tuple(zip(*columns)))
-    p_inv = inverse(p_mat)
-    xn_conj = p_inv.mul(nilp.x).mul(p_mat)
-    coords = p_inv.mul_vec(e.v)
+    eig, p_mat, p_inv = generalized_eigenbasis(e.x)
+    x_conj = p_inv.mul(e.x).mul(p_mat).rows
+    coords = p_inv.mul_vec(e.v).entries
     out = []
     off = 0
-    for m in sizes:
-        block = Mat(f, tuple(row[off:off + m] for row in xn_conj.rows[off:off + m]))
-        # x_n preserves each generalized eigenspace, so the conjugated
+    for a, m in eig:
+        end = off + m
+        # x preserves each generalized eigenspace, so the conjugated
         # matrix must vanish outside the diagonal blocks
-        for i in range(n):
-            if not off <= i < off + m:
-                assert all(xn_conj.entry(i, j) == f.zero for j in range(off, off + m))
-        vec = Vec(f, coords.entries[off:off + m])
-        out.append((m, EnhancedElement(m, vec, block)))
-        off += m
+        if any(row[j] != f.zero for i, row in enumerate(x_conj)
+               if not off <= i < end for j in range(off, end)):
+            raise InvariantViolation(f"eigenvalue {a}: the conjugated x is not block diagonal")
+        block = Mat(f, tuple(row[off:end] for row in x_conj[off:end]))
+        out.append((m, EnhancedElement(m, Vec(f, coords[off:end]),
+                                       block.sub(Mat.scalar(f, m, a)))))
+        off = end
     return out
 
 

@@ -16,6 +16,7 @@ from math import gcd
 
 from .errors import (
     BudgetExceeded,
+    InvariantViolation,
     NonSplitSpectrum,
     NotNilpotent,
     SizeMismatch,
@@ -54,9 +55,6 @@ class Vec:
         f = self.field
         c = f.of(c)
         return Vec(f, tuple(f.mul(c, e) for e in self.entries))
-
-    def to_field(self, field):
-        return Vec(field, tuple(_convert_scalar(e, self.field, field) for e in self.entries))
 
     @staticmethod
     def zero(field, n):
@@ -132,10 +130,6 @@ class Mat:
     def transpose(self):
         return Mat(self.field, tuple(zip(*self.rows)) if self.rows else ())
 
-    def to_field(self, field):
-        return Mat(field, tuple(tuple(_convert_scalar(e, self.field, field) for e in row)
-                                for row in self.rows))
-
     @staticmethod
     def identity(field, n):
         one, zero = field.one, field.zero
@@ -183,14 +177,6 @@ def _dot(f, xs, ys):
         if x != f.zero and y != f.zero:
             acc = f.add(acc, f.mul(x, y))
     return acc
-
-
-def _convert_scalar(e, src, dst):
-    if src == dst:
-        return e
-    if isinstance(src, RationalField) and isinstance(dst, PrimeField):
-        return dst.of(e)
-    raise ValueError(f"no conversion {src} -> {dst}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +297,11 @@ def inverse(m):
         raise SizeMismatch("inverse needs a square matrix")
     f = m.field
     n = m.nrows
-    aug = Mat(f, tuple(m.rows[i] + Mat.identity(f, n).rows[i] for i in range(n)))
-    red, pivots = rref(aug)
-    if tuple(pivots)[:n] != tuple(range(n)):
+    ident = Mat.identity(f, n).rows
+    red, pivots = _eliminate(f, [r + e for r, e in zip(m.rows, ident)], full=True)
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat(f, tuple(row[n:] for row in red.rows))
+    return Mat(f, tuple(row[n:] for row in red))
 
 
 def det(m):
@@ -663,33 +649,6 @@ def _pdivmod(f, a, b):
     return _pnorm(f, q), a
 
 
-def _pxgcd(f, a, b):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [f.one], []
-    t0, t1 = [], [f.one]
-    while r1:
-        q, r = _pdivmod(f, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(f, s0, _pmul(f, q, s1))
-        t0, t1 = t1, _psub(f, t0, _pmul(f, q, t1))
-    if r0:
-        inv = f.inv(r0[-1])
-        r0 = _pscale(f, inv, r0)
-        s0 = _pscale(f, inv, s0)
-        t0 = _pscale(f, inv, t0)
-    return r0, s0, t0
-
-
-def _peval_matrix(f, poly, x):
-    """Evaluate a polynomial (low->high coefficients) at a square matrix."""
-    n = x.nrows
-    acc = Mat.zeros(f, n)
-    for c in reversed(poly):
-        acc = acc.mul(x).add(Mat.scalar(f, n, c))
-    return acc
-
-
 def _divisors(n):
     n = abs(n)
     out = set()
@@ -764,39 +723,48 @@ def eigenvalues_with_multiplicity(x):
     return sorted(roots, key=lambda rm: rm[0])
 
 
-def jordan_chevalley_split(x):
-    """Split x = x_s + x_n with x_s diagonalisable, x_n nilpotent, both
-    polynomials in x.  Requires the spectrum to split over the base field.
+def generalized_eigenbasis(x):
+    """A basis of k^n adapted to the generalized eigenspaces of x, whose
+    spectrum must split over the base field.
 
-    The semisimple part is s(x) where s solves the congruences
-    s = a_i mod (t - a_i)^{m_i} (Chinese remaindering in k[t]).
+    Returns (eig, p, p_inv): eig is the sorted (eigenvalue, multiplicity)
+    list of :func:`eigenvalues_with_multiplicity`, and the columns of p are
+    bases of ker (x - a)^m, one run of m columns per (a, m) of eig in that
+    order.  So p_inv x p is block diagonal, with blocks a I + nilpotent.
     """
-    if not x.is_square():
-        raise SizeMismatch("need a square matrix")
     f = x.field
     n = x.nrows
     eig = eigenvalues_with_multiplicity(x)
-    if len(eig) == 1:
-        xs = Mat.scalar(f, n, eig[0][0])
-        return xs, x.sub(xs)
-    full = [f.one]
+    columns = []
     for a, m in eig:
-        for _ in range(m):
-            full = _pmul(f, full, [f.neg(a), f.one])
-    s_poly = []
-    for a, m in eig:
-        modulus = [f.one]
-        for _ in range(m):
-            modulus = _pmul(f, modulus, [f.neg(a), f.one])
-        q, rem = _pdivmod(f, full, modulus)
-        assert not rem
-        g, u, _ = _pxgcd(f, q, modulus)
-        assert g == [f.one]
-        e = _pdivmod(f, _pmul(f, q, u), full)[1]
-        s_poly = _padd(f, s_poly, _pscale(f, a, e))
-    xs = _peval_matrix(f, s_poly, x)
+        shifted = x.sub(Mat.scalar(f, n, a))
+        power = shifted
+        for _ in range(m - 1):
+            power = power.mul(shifted)
+        basis = nullspace(power)
+        if len(basis) != m:
+            raise InvariantViolation(f"ker (x - {a})^{m} has dimension {len(basis)}, not {m}")
+        columns.extend(w.entries for w in basis)
+    p = Mat(f, tuple(zip(*columns)))
+    return eig, p, inverse(p)
+
+
+def jordan_chevalley_split(x):
+    """Split x = x_s + x_n with x_s diagonalisable, x_n nilpotent, the two
+    commuting.  Requires the spectrum to split over the base field.
+
+    x_s acts as a on the generalized eigenspace ker (x - a)^m, so in the
+    basis of :func:`generalized_eigenbasis` it is p diag(a_i) p_inv.  The
+    split is unique, so this x_s is the polynomial in x that Chinese
+    remaindering on s = a_i mod (t - a_i)^{m_i} gives.
+    """
+    eig, p, p_inv = generalized_eigenbasis(x)
+    f = x.field
+    diag = Mat.block_diag(f, [Mat.scalar(f, m, a) for a, m in eig])
+    xs = p.mul(diag).mul(p_inv)
     xn = x.sub(xs)
-    assert xs.mul(xn).rows == xn.mul(xs).rows
+    if xs.mul(xn).rows != xn.mul(xs).rows:
+        raise InvariantViolation("x_s and x_n do not commute")
     return xs, xn
 
 

@@ -15,21 +15,28 @@ from functools import lru_cache
 from itertools import groupby
 from operator import index
 
-from .errors import BudgetExceeded, ParseError, SizeMismatch
+from .errors import BudgetExceeded, InvariantViolation, ParseError, SizeMismatch
 
 ENUMERATION_BUDGET = 30
 IDENTIFY_BUDGET = 16
 
 
-def check_partition(parts):
-    """Validate and normalise a sequence into a partition tuple of ints."""
+def positive_parts(parts):
+    """The parts as a tuple of ints; ValueError unless every part is a
+    positive integer (a float or a Fraction is refused, never truncated)."""
     parts = tuple(parts)
     try:
         parts = tuple(index(p) for p in parts)
     except TypeError:
-        raise ValueError(f"partition parts must be integers: {parts}") from None
+        raise ValueError(f"parts must be integers: {parts}") from None
     if any(p <= 0 for p in parts):
-        raise ValueError(f"partition parts must be positive: {parts}")
+        raise ValueError(f"parts must be positive: {parts}")
+    return parts
+
+
+def check_partition(parts):
+    """Validate and normalise a sequence into a partition tuple of ints."""
+    parts = positive_parts(parts)
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError(f"partition parts must be weakly decreasing: {parts}")
     return parts
@@ -239,7 +246,8 @@ def cyclic_quotient_type(b):
     col = []
     j = 1
     prev = quotient_rank(0)
-    assert prev == n - m1
+    if prev != n - m1:
+        raise InvariantViolation(f"quotient rank {prev} at power 0, not n - mu_1 = {n - m1}")
     while prev > 0:
         cur = quotient_rank(j)
         col.append(prev - cur)
@@ -254,7 +262,7 @@ def _invariant_table(n):
     for b in enumerate_bipartitions(n):
         key = (add(b.mu, b.nu), cyclic_quotient_type(b))
         if key in table:
-            raise AssertionError(f"invariant collision at n={n}: {table[key]} vs {b}")
+            raise InvariantViolation(f"invariant collision at n={n}: {table[key]} vs {b}")
         table[key] = b
     return table
 
@@ -287,9 +295,7 @@ class Composition:
     k: int = 0
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError(f"composition parts must be positive: {parts}")
+        parts = positive_parts(self.parts)
         if not 0 <= self.k <= len(parts):
             raise ValueError(f"marked prefix {self.k} out of range for {parts}")
         object.__setattr__(self, "parts", parts)

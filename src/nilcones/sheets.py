@@ -29,6 +29,7 @@ from .partitions import (
     multiplicity,
     part_runs,
     partitions_of,
+    positive_parts,
     transpose,
 )
 
@@ -49,9 +50,7 @@ class SheetLabel:
     choice: tuple
 
     def __post_init__(self):
-        lam = tuple(int(p) for p in self.lam)
-        if any(p <= 0 for p in lam):
-            raise ValueError(f"parts must be positive: {lam}")
+        lam = positive_parts(self.lam)
         choice = tuple(self.choice)
         if len(choice) != len(lam):
             raise SizeMismatch("one flag per part required")

@@ -20,6 +20,7 @@ from .fields import QQ
 from .linalg import (
     Mat,
     Vec,
+    generalized_eigenbasis,
     inverse,
     jordan_chevalley_split,
     limit_along_cocharacter,
@@ -425,12 +426,8 @@ def suite_jkv(seed=DEFAULT_SEED):
     semisimple1 = xn.is_zero() and semisimple_at_label_level(x)
     # nilpotency of (v, 0) over the stabilizer of x: contract along a
     # cocharacter of the eigenbasis torus
-    eigvecs = []
-    for a in (a_val, b_val):
-        shifted = x.sub(Mat.scalar(f, 2, a))
-        eigvecs.extend(nullspace(shifted))
-    p_mat = Mat(f, tuple(zip(*(w.entries for w in eigvecs))))
-    coords = inverse(p_mat).mul_vec(v)
+    _, _, p_inv = generalized_eigenbasis(x)
+    coords = p_inv.mul_vec(v)
     weights = tuple(1 if c != f.zero else 0 for c in coords.entries)
     lim1 = limit_along_cocharacter(weights, coords, Mat.zeros(f, 2))
     nilpotent1 = lim1 is not None and lim1[0].is_zero() and lim1[1].is_zero()

@@ -4,10 +4,10 @@ import pytest
 
 from nilcones.errors import NonSplitSpectrum, RepeatedEigenvalue, SizeMismatch
 from nilcones.fields import GF, QQ
-from nilcones.linalg import Mat, Vec, random_gl
+from nilcones.linalg import Mat, Vec, inverse, random_gl, random_sp
 from nilcones.partitions import Bipartition, double, enumerate_bipartitions
 from nilcones.enhanced import EnhancedElement, act, build_representative, orbit_dim
-from nilcones.exotic import embed_phi
+from nilcones.exotic import ExoticElement, embed_phi
 from nilcones.jordan_classes import (
     ClassLabel,
     build_class_representative,
@@ -35,6 +35,8 @@ def test_class_label_canonical_form():
         ClassLabel((2,), (B((1,), ()),))
     with pytest.raises(SizeMismatch):
         ClassLabel((2, 1), (B((2,), ()),))
+    with pytest.raises(ValueError):
+        ClassLabel((2.5,), (B((2,), ()),))
 
 
 def test_enumeration_counts():
@@ -100,13 +102,26 @@ def test_identify_class_over_prime_field():
     f = GF(5)
     e = EnhancedElement(2, Vec(f, (1, 1)), Mat(f, ((1, 0), (0, 2))))
     assert identify_class(e) == ClassLabel((1, 1), (B((1,), ()), B((1,), ())))
+    # every class with n <= 4, conjugated over F_7 by an integer matrix of
+    # determinant +-1
+    f = GF(7)
+    rng = random.Random(17)
+    for n in range(1, 5):
+        for c in enumerate_classes(n):
+            rep = build_class_representative(c, rng.sample(range(7), len(c.lam)), f)
+            g = Mat(f, random_gl(n, rng).rows)
+            assert identify_class(act(g, rep)) == c
 
 
 def test_identify_exotic_class():
+    rng = random.Random(19)
     for n in (1, 2, 3):
         for c in enumerate_classes(n):
             exo = embed_phi(build_class_representative(c))
             assert identify_exotic_class(exo) == c
+            s = random_sp(n, rng)
+            moved = ExoticElement(n, s.mul_vec(exo.v), s.mul(exo.x).mul(inverse(s)))
+            assert identify_exotic_class(moved) == c
 
 
 def test_class_nilcone_orbit():

@@ -251,3 +251,5 @@ def test_composition_validation():
         Composition((4, 0), k=0)
     with pytest.raises(ValueError):
         Composition((4, 2), k=3)
+    with pytest.raises(ValueError):
+        Composition((2.7, 1))

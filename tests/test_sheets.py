@@ -51,6 +51,8 @@ def test_sheet_dims():
     assert sheet_dim_exotic(dense) == 2 * n * n + n  # 2n + (2n^2 - n)
     assert sheet_dim_enhanced(SheetLabel((n,), (ZERO,))) == 1
     assert sheet_dim_enhanced(SheetLabel((n,), (VEC,))) == n + 1
+    with pytest.raises(ValueError):
+        SheetLabel((2.9,), (VEC,))
 
 
 def test_sheet_nilpotent_orbit():

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import nilcones
 from nilcones.errors import BudgetExceeded
 from nilcones.verify import SUITES, run_suite
 
@@ -34,3 +38,13 @@ def test_all_suites_are_registered():
 def test_suite_budgets(name, n):
     with pytest.raises(BudgetExceeded):
         run_suite(name, n, 2)
+
+
+def test_library_has_no_assert():
+    # python -O strips assert statements, so a broken internal invariant
+    # must raise a typed error (InvariantViolation) instead
+    for path in sorted(Path(nilcones.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+            assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), \
+                f"{path.name}:{node.lineno}"
