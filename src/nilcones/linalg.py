@@ -1,18 +1,21 @@
 """Exact linear algebra over Q and F_p.
 
 Matrices and vectors are immutable, tagged with one field object from
-:mod:`nilcones.fields`, and every operation is a pure function.  Rank and
-nullspace run exact Gaussian elimination (with an integer fraction-free fast
-path over Q); the characteristic polynomial comes from a Hessenberg
-similarity reduction, so it works over any base field.
+:mod:`nilcones.fields`, and every operation is a pure function.  The
+product, the inverse and the characteristic polynomial clear denominators
+once and compute on Python ints: an integer product, a fraction-free
+(Bareiss) inverse and Berkowitz's division-free characteristic polynomial,
+so one code path serves Q and F_p.  Rank and nullspace run exact Gaussian
+elimination, with Bareiss's integer path for the rank over Q.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import lcm
 
 from .errors import (
     BudgetExceeded,
@@ -114,18 +117,22 @@ class Mat:
         if self.ncols != other.nrows:
             raise SizeMismatch("inner dims differ")
         f = self.field
-        bt = tuple(zip(*other.rows)) if other.rows else ()
-        out = []
-        for row in self.rows:
-            out.append(tuple(_dot(f, row, col) for col in bt))
-        return Mat(f, tuple(out))
+        a, da = _int_rows(f, self.rows)
+        b, db = _int_rows(f, other.rows)
+        d = da * db
+        cols = tuple(zip(*b))
+        return Mat(f, tuple(tuple(_from_int(f, sum(map(operator.mul, row, col)), d)
+                                  for col in cols) for row in a))
 
     def mul_vec(self, v):
         _same_field(self, v)
         if self.ncols != v.dim:
             raise SizeMismatch("matrix/vector dims differ")
         f = self.field
-        return Vec(f, tuple(_dot(f, row, v.entries) for row in self.rows))
+        a, da = _int_rows(f, self.rows)
+        (col,), dv = _int_rows(f, (v.entries,))
+        d = da * dv
+        return Vec(f, tuple(_from_int(f, sum(map(operator.mul, row, col)), d) for row in a))
 
     def transpose(self):
         return Mat(self.field, tuple(zip(*self.rows)) if self.rows else ())
@@ -171,12 +178,22 @@ def _same_shape(a, b):
         raise SizeMismatch("matrix shapes differ")
 
 
-def _dot(f, xs, ys):
-    acc = f.zero
-    for x, y in zip(xs, ys):
-        if x != f.zero and y != f.zero:
-            acc = f.add(acc, f.mul(x, y))
-    return acc
+def _int_rows(f, rows):
+    """(int rows, d) with rows = int rows / d.  Over Q, d is the least common
+    denominator; over F_p the residues are already ints and d = 1."""
+    if f.char:
+        return rows, 1
+    d = lcm(*{e.denominator for row in rows for e in row})
+    if d == 1:
+        return [[e.numerator for e in row] for row in rows], 1
+    return [[e.numerator * (d // e.denominator) for e in row] for row in rows], d
+
+
+def _from_int(f, a, d):
+    """The field element a / d, for ints a and d with d invertible in f."""
+    if f.char:
+        return a * pow(d, -1, f.p) % f.p
+    return Fraction(a, d)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +274,7 @@ def rank(m):
     if m.nrows == 0 or m.ncols == 0:
         return 0
     if isinstance(m.field, RationalField):
-        if all(e.denominator == 1 for row in m.rows for e in row):
-            return _rank_bareiss([[e.numerator for e in row] for row in m.rows])
-        # clear denominators row by row; row scaling preserves rank
-        cleared = []
-        for row in m.rows:
-            l = 1
-            for e in row:
-                l = l * e.denominator // gcd(l, e.denominator)
-            cleared.append([int(e * l) for e in row])
-        return _rank_bareiss(cleared)
+        return _rank_bareiss(_int_rows(m.field, m.rows)[0])
     return len(_eliminate(m.field, m.rows, full=False)[1])
 
 
@@ -293,15 +301,34 @@ def nullspace(m):
 
 
 def inverse(m):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) on [a | I] for the
+    int rows a = d m: it ends at [D I | D a^-1] with D = +-det a, so
+    m^-1 = d (D a^-1) / D.  ValueError when D is zero in the field."""
     if not m.is_square():
         raise SizeMismatch("inverse needs a square matrix")
     f = m.field
     n = m.nrows
-    ident = Mat.identity(f, n).rows
-    red, pivots = _eliminate(f, [r + e for r, e in zip(m.rows, ident)], full=True)
-    if pivots[:n] != list(range(n)):
+    a, d = _int_rows(f, m.rows)
+    a = [list(row) + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        row_k = a[k][k + 1:]
+        pivot = a[k][k]
+        # columns left of k are never read again, so every update starts at
+        # column k + 1; Sylvester's identity makes each division exact
+        for i, row_i in enumerate(a):
+            if i != k:
+                t = row_i[k]
+                row_i[k + 1:] = [(pivot * e - t * q) // prev
+                                 for e, q in zip(row_i[k + 1:], row_k)]
+        prev = pivot
+    if _from_int(f, prev, 1) == f.zero:
         raise ValueError("matrix is singular")
-    return Mat(f, tuple(row[n:] for row in red))
+    return Mat(f, tuple(tuple(_from_int(f, d * e, prev) for e in row[n:]) for row in a))
 
 
 def det(m):
@@ -337,50 +364,37 @@ def det(m):
 def _charpoly_monic(m):
     """Coefficients of det(tI - m), highest degree first, leading 1.
 
-    Hessenberg reduction by similarity, then the standard determinant
-    recurrence on leading principal minors.  Divisions only by nonzero
-    pivots, so any base field works.
+    Berkowitz's division-free recurrence on the int rows a = d m: the
+    characteristic polynomial of each leading block comes from that of the
+    block before it, through the products R a_r^j C of its new row R and
+    column C.  The k-th coefficient of a is divided by d^k at the end.
     """
     if not m.is_square():
         raise SizeMismatch("charpoly needs a square matrix")
     f = m.field
-    n = m.nrows
-    h = [list(r) for r in m.rows]
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j] != f.zero), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[j + 1], h[piv] = h[piv], h[j + 1]
-            for row in h:
-                row[j + 1], row[piv] = row[piv], row[j + 1]
-        inv = f.inv(h[j + 1][j])
-        for i in range(j + 2, n):
-            if h[i][j] == f.zero:
-                continue
-            t = f.mul(h[i][j], inv)
-            h[i] = [f.sub(e, f.mul(t, p)) for e, p in zip(h[i], h[j + 1])]
-            for row in h:
-                row[j + 1] = f.add(row[j + 1], f.mul(t, row[i]))
-    # p[k] = charpoly (low->high) of the leading k x k block
-    p = [[f.one]]
-    for k in range(1, n + 1):
-        term = _pmul(f, [f.neg(h[k - 1][k - 1]), f.one], p[k - 1])
-        run = f.one
-        for i in range(1, k):
-            run = f.mul(run, h[k - i][k - i - 1])
-            if run == f.zero:
-                break
-            coeff = f.mul(h[k - 1 - i][k - 1], run)
-            if coeff != f.zero:
-                term = _psub(f, term, _pscale(f, coeff, p[k - 1 - i]))
-        p.append(term)
-    top = p[n] + [f.zero] * (n + 1 - len(p[n]))
-    return tuple(reversed(top))
+    a, d = _int_rows(f, m.rows)
+    mul = operator.mul
+    p = [1]  # charpoly of the leading r x r block, highest degree first
+    for r, row_r in enumerate(a):
+        block = [row[:r] for row in a[:r]]
+        col = [row[r] for row in a[:r]]
+        new_row = row_r[:r]
+        # q = (1, -a_rr, -R C, -R a_r C, ..., -R a_r^(r-1) C), built reversed
+        q = []
+        for j in range(r):
+            if j:
+                col = [sum(map(mul, brow, col)) for brow in block]
+            q.append(-sum(map(mul, new_row, col)))
+        q.reverse()
+        q += (-row_r[r], 1)
+        # p times the lower-triangular Toeplitz matrix of q
+        p = [sum(map(mul, q[k:], p)) for k in range(r + 1, -1, -1)]
+    return tuple(_from_int(f, c, d ** k) for k, c in enumerate(p))
 
 
 def charpoly(m):
-    """Coefficients (c_1, ..., c_n) of det(tI - m) = t^n + c_1 t^{n-1} + ... + c_n."""
+    """Coefficients (c_1, ..., c_n) of det(tI - m) = t^n + c_1 t^{n-1} + ... + c_n,
+    by Berkowitz's division-free recurrence on ints, over Q and F_p alike."""
     return _charpoly_monic(m)[1:]
 
 
@@ -603,34 +617,6 @@ def _pnorm(f, a):
     return a
 
 
-def _padd(f, a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else f.zero) for i in range(n)]
-    for i, c in enumerate(b):
-        out[i] = f.add(out[i], c)
-    return _pnorm(f, out)
-
-
-def _psub(f, a, b):
-    return _padd(f, list(a), [f.neg(c) for c in b])
-
-
-def _pscale(f, c, a):
-    return _pnorm(f, [f.mul(c, x) for x in a])
-
-
-def _pmul(f, a, b):
-    if not a or not b:
-        return []
-    out = [f.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == f.zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = f.add(out[i + j], f.mul(x, y))
-    return _pnorm(f, out)
-
-
 def _pdivmod(f, a, b):
     a = list(a)
     if not b:
@@ -694,10 +680,8 @@ def _roots_with_multiplicity(field, monic_high_first):
         if m0:
             roots.append((f.zero, m0))
         if len(poly) > 1:
-            lcm = 1
-            for c in poly:
-                lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-            ints = [int(c * lcm) for c in poly]
+            d = lcm(*(c.denominator for c in poly))
+            ints = [int(c * d) for c in poly]
             lead, const = ints[-1], ints[0]
             cands = set()
             for pnum in _divisors(const):
@@ -807,20 +791,18 @@ def limit_along_cocharacter(weights, v, x):
 def random_gl(n, rng, steps=None):
     """A random element of GL_n(Q) with exact inverse: a product of integer
     shears and diagonal sign flips, so the determinant is +-1."""
-    f = QQ
-    rows = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     steps = 3 * n if steps is None else steps
     for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        c = f.of(rng.choice([-2, -1, 1, 2]))
-        for col in range(n):
-            rows[j][col] = f.add(rows[j][col], f.mul(c, rows[i][col]))
+        c = rng.choice([-2, -1, 1, 2])
+        rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
     if rng.random() < 0.5 and n:
         k = rng.randrange(n)
-        rows[k] = [f.neg(e) for e in rows[k]]
-    return Mat(f, tuple(tuple(r) for r in rows))
+        rows[k] = [-e for e in rows[k]]
+    return Mat(QQ, tuple(tuple(r) for r in rows))
 
 
 def random_sp(n, rng, steps=3):

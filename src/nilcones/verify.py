@@ -43,6 +43,7 @@ from .enhanced import (
     induce_from_vector,
     induction_representative,
     is_rigid,
+    jkv_decompose,
     orbit_dim,
     rigid_datum,
     validate_closure_rule,
@@ -421,9 +422,10 @@ def suite_jkv(seed=DEFAULT_SEED):
         return all(block.mu == () and block.nu == (1,) * part
                    for part, block in zip(label.lam, label.blocks))
 
-    # decomposition 1: (v, x) = (0, x) + (v, 0); x itself is semisimple
-    xs, xn = jordan_chevalley_split(x)
-    semisimple1 = xn.is_zero() and semisimple_at_label_level(x)
+    # decomposition 1: the Jordan-Chevalley one, (v, x) = (0, x_s) + (v, x_n),
+    # which is (0, x) + (v, 0) since x itself is semisimple
+    semi, nil = jkv_decompose(EnhancedElement(2, v, x))
+    semisimple1 = nil.x.is_zero() and semisimple_at_label_level(semi.x)
     # nilpotency of (v, 0) over the stabilizer of x: contract along a
     # cocharacter of the eigenbasis torus
     _, _, p_inv = generalized_eigenbasis(x)

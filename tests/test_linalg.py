@@ -266,6 +266,127 @@ def test_charpoly_against_determinant_oracle():
             assert horner == direct
 
 
+KERNEL_FIELDS = (QQ, GF(2), GF(3), GF(7))
+
+
+def kernel_entries(field):
+    """Scalars of the field; over Q with denominators up to 4."""
+    if field == QQ:
+        return st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    return st.integers(0, field.p - 1)
+
+
+def draw_matrix(draw, field, m, n):
+    row = st.lists(kernel_entries(field), min_size=n, max_size=n)
+    return Mat(field, tuple(tuple(draw(row)) for _ in range(m)))
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b, v) over one field with a.ncols == b.nrows == v.dim, sizes <= 6."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    v = Vec(field, tuple(draw(st.lists(kernel_entries(field), min_size=k, max_size=k))))
+    return draw_matrix(draw, field, m, k), draw_matrix(draw, field, k, n), v
+
+
+@st.composite
+def square_matrices(draw, fields=KERNEL_FIELDS):
+    """n x n matrices, n <= 6; some made singular by a repeated row sum."""
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, 6))
+    m = draw_matrix(draw, field, n, n)
+    if n > 2 and draw(st.booleans()):
+        rows = list(m.rows)
+        rows[-1] = tuple(field.add(a, b) for a, b in zip(rows[0], rows[1]))
+        m = Mat(field, tuple(rows))
+    return m
+
+
+def naive_product(a, b):
+    """Rows of a b by the triple loop, in field arithmetic."""
+    f = a.field
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = f.zero
+            for k in range(a.ncols):
+                acc = f.add(acc, f.mul(a.rows[i][k], b.rows[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def to_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                         for row in m.rows])
+
+
+@given(product_operands())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_mul_matches_triple_loop(ops):
+    a, b, v = ops
+    assert a.mul(b).rows == naive_product(a, b)
+    column = Mat(a.field, tuple((e,) for e in v.entries))
+    assert a.mul_vec(v).entries == tuple(r[0] for r in naive_product(a, column))
+
+
+@given(square_matrices())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_inverse_properties(m):
+    f = m.field
+    if det(m) == f.zero:
+        with pytest.raises(ValueError):
+            inverse(m)
+        return
+    inv = inverse(m)
+    ident = Mat.identity(f, m.nrows).rows
+    assert naive_product(m, inv) == ident
+    assert naive_product(inv, m) == ident
+
+
+@given(square_matrices(fields=(QQ,)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_inverse_matches_sympy(m):
+    ref = to_sympy(m)
+    if ref.det() == 0:
+        with pytest.raises(ValueError):
+            inverse(m)
+        return
+    assert to_sympy(inverse(m)) == ref.inv()
+
+
+def test_inverse_singular_mod_p_only():
+    # the integer determinant is -3: nonzero over Z, zero over F_3
+    with pytest.raises(ValueError):
+        inverse(Mat(GF(3), ((1, 2), (2, 1))))
+    assert inverse(Mat(GF(5), ((1, 2), (2, 1)))).rows == ((3, 4), (4, 3))
+
+
+@given(square_matrices())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_charpoly_matches_determinant_at_points(m):
+    f, n = m.field, m.nrows
+    coeffs = (f.one,) + charpoly(m)
+    assert len(coeffs) == n + 1
+    for s in range(n + 1):
+        c = f.of(s)
+        horner = f.zero
+        for k in coeffs:
+            horner = f.add(f.mul(horner, c), k)
+        assert horner == det(Mat.scalar(f, n, c).sub(m))
+
+
+@given(square_matrices(fields=(QQ,)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_charpoly_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    ref = to_sympy(m).charpoly(sympy.Symbol("t")).all_coeffs()
+    assert [sympy.Rational(c.numerator, c.denominator) for c in charpoly(m)] == ref[1:]
+
+
 def test_nullspace_and_inverse():
     m = Mat(QQ, ((1, 2, 3), (2, 4, 6)))
     basis = nullspace(m)
