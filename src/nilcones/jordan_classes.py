@@ -153,20 +153,19 @@ def build_class_representative(c, eigenvalues=None, field=QQ):
     return EnhancedElement(c.n, Vec(field, ventries), Mat.block_diag(field, blocks_x))
 
 
-def _eigen_block_data(e):
-    """Split (v, x) along the generalized eigenspaces of x; returns a list of
-    (multiplicity, block EnhancedElement with nilpotent matrix).
+def _eigen_blocks(x):
+    """The part of the eigenspace split that depends on x alone: returns
+    (p_inv, blocks), blocks listing (start, end, nilpotent block) per
+    eigenvalue.
 
     In the basis p of :func:`generalized_eigenbasis`, x is block diagonal
-    with blocks a I + (the nilpotent part of x there), and v has the
-    coordinates p_inv v; each block keeps the nilpotent part and its slice
-    of the coordinates.
+    with blocks a I + (the nilpotent part of x there); a vector then has
+    the coordinates p_inv v, and each block owns the slice start:end.
     """
-    f = e.field
-    eig, p_mat, p_inv = generalized_eigenbasis(e.x)
-    x_conj = p_inv.mul(e.x).mul(p_mat).rows
-    coords = p_inv.mul_vec(e.v).entries
-    out = []
+    f = x.field
+    eig, p_mat, p_inv = generalized_eigenbasis(x)
+    x_conj = p_inv.mul(x).mul(p_mat).rows
+    blocks = []
     off = 0
     for a, m in eig:
         end = off + m
@@ -176,20 +175,32 @@ def _eigen_block_data(e):
                if not off <= i < end for j in range(off, end)):
             raise InvariantViolation(f"eigenvalue {a}: the conjugated x is not block diagonal")
         block = Mat(f, tuple(row[off:end] for row in x_conj[off:end]))
-        out.append((m, EnhancedElement(m, Vec(f, coords[off:end]),
-                                       block.sub(Mat.scalar(f, m, a)))))
+        blocks.append((off, end, block.sub(Mat.scalar(f, m, a))))
         off = end
-    return out
+    return p_inv, blocks
+
+
+def _eigen_block_data(split, v):
+    """Split (v, x) along the generalized eigenspaces of x, given
+    split = _eigen_blocks(x); returns a list of (multiplicity, block
+    EnhancedElement with nilpotent matrix)."""
+    p_inv, blocks = split
+    coords = p_inv.mul_vec(v).entries
+    return [(end - off, EnhancedElement(end - off, Vec(v.field, coords[off:end]), block))
+            for off, end, block in blocks]
+
+
+def _class_label(split, v):
+    """Class label of (v, x), given split = _eigen_blocks(x)."""
+    data = _eigen_block_data(split, v)
+    return ClassLabel(tuple(m for m, _ in data), tuple(identify_orbit(b) for _, b in data))
 
 
 def identify_class(e):
     """Class label of an enhanced element whose spectrum splits: eigenvalue
     multiplicities give lam, and each eigenspace block is identified as an
     enhanced nilpotent orbit of its own size."""
-    data = _eigen_block_data(e)
-    lam = tuple(m for m, _ in data)
-    blocks = tuple(identify_orbit(block) for _, block in data)
-    return ClassLabel(lam, blocks)
+    return _class_label(_eigen_blocks(e.x), e.v)
 
 
 def identify_exotic_class(e):
@@ -198,7 +209,8 @@ def identify_exotic_class(e):
     enhanced label."""
     from .exotic import embed_psi
 
-    data = _eigen_block_data(embed_psi(e))
+    big = embed_psi(e)
+    data = _eigen_block_data(_eigen_blocks(big.x), big.v)
     lam = []
     blocks = []
     for m, block in data:

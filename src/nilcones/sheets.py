@@ -14,15 +14,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExceeded, CharTwo, ModuleMismatch, NotPerfectSquare, SizeMismatch
+from .errors import (
+    BudgetExceeded,
+    CharTwo,
+    ModuleMismatch,
+    NonSplitSpectrum,
+    NotPerfectSquare,
+    SizeMismatch,
+)
 from .enhanced import EnhancedElement
+from .fields import GF
 from .jordan_classes import (
     ClassLabel,
+    _class_label,
+    _eigen_blocks,
     class_closure_leq,
     class_orbit_dim,
     enumerate_classes,
 )
-from .linalg import charpoly
+from .linalg import Mat, Vec, charpoly
 from .partitions import (
     Bipartition,
     check_partition,
@@ -222,29 +232,27 @@ def fiber_census(n, p):
     """Walk every point of F_p^n x gl_n(F_p), bucket by invariant vector,
     and classify the points with split spectrum by their Jordan class.
 
-    Returns (fibers, nonsplit_count): fibers maps each invariant vector to
-    a dict counting class labels.  Capped at n <= 2, p in {3, 5}.
+    The invariants and the eigenspace split depend on x alone, so they are
+    computed once per matrix; each vector then only maps through the
+    eigenbasis.  Returns (fibers, nonsplit_count): fibers maps each
+    invariant vector to a dict counting class labels.  Capped at n <= 2,
+    p in {3, 5}.
     """
     if n > 2 or p not in (3, 5):
         raise BudgetExceeded("fiber census capped at n <= 2, p in {3, 5}")
-    from .errors import NonSplitSpectrum
-    from .fields import GF
-    from .jordan_classes import identify_class
-    from .linalg import Mat, Vec
-
     field = GF(p)
+    vectors = [Vec(field, ventries) for ventries in product(range(p), repeat=n)]
     fibers = {}
     nonsplit = 0
-    for ventries in product(range(p), repeat=n):
-        for xentries in product(range(p), repeat=n * n):
-            x = Mat(field, tuple(xentries[i * n:(i + 1) * n] for i in range(n)))
-            e = EnhancedElement(n, Vec(field, ventries), x)
-            key = enhanced_invariants(e).coefficients
-            bucket = fibers.setdefault(key, {})
-            try:
-                label = identify_class(e)
-            except NonSplitSpectrum:
-                nonsplit += 1
-                continue
+    for xentries in product(range(p), repeat=n * n):
+        x = Mat(field, tuple(xentries[i * n:(i + 1) * n] for i in range(n)))
+        bucket = fibers.setdefault(tuple(charpoly(x)), {})
+        try:
+            split = _eigen_blocks(x)
+        except NonSplitSpectrum:
+            nonsplit += len(vectors)
+            continue
+        for v in vectors:
+            label = _class_label(split, v)
             bucket[label] = bucket.get(label, 0) + 1
     return fibers, nonsplit

@@ -16,7 +16,7 @@ import time
 from itertools import product
 
 from .errors import BudgetExceeded
-from .fields import QQ
+from .fields import GF, QQ
 from .linalg import (
     Mat,
     Vec,
@@ -38,6 +38,7 @@ from .enhanced import (
     InductionDatum,
     act,
     build_representative,
+    closure_oracle_sweep,
     identify_orbit,
     induce,
     induce_from_vector,
@@ -47,6 +48,7 @@ from .enhanced import (
     orbit_dim,
     rigid_datum,
     validate_closure_rule,
+    _orbit_walk,
 )
 from .exotic import ExoticElement, embed_phi, embed_psi, exotic_orbit_dim
 from .jordan_classes import (
@@ -154,19 +156,35 @@ def suite_doubling(n, seed=DEFAULT_SEED):
 
 def suite_closure(n, p, seed=DEFAULT_SEED):
     """Combinatorial closure order against the flag oracle (all ordered
-    pairs), the alternative block ordering, and the group sweep."""
+    pairs), the alternative block ordering and the orbit-walk oracle, and
+    the point count of the orbits the walk finds."""
     checker = _Checker()
-    checked, mismatches = validate_closure_rule(n, p, include_sweep=True)
-    flag_mm = [m for m in mismatches if m[2] == "flag"]
-    sweep_mm = [m for m in mismatches if m[2] == "sweep"]
+    checked, flag_mm = validate_closure_rule(n, p)
     checker.add(f"flag oracle agrees at n={n}, p={p}",
                 not flag_mm, checked, str(flag_mm[:3]))
     alt_checked, alt_mm = validate_closure_rule(n, p, alt_order=True)
     checker.add("flag oracle independent of block ordering",
                 not alt_mm, alt_checked, str(alt_mm[:3]))
     if n <= SWEEP_ORACLE_BUDGET_N:
+        labels = enumerate_bipartitions(n)
+        sweep_mm = []
+        for b1 in labels:
+            for b2 in labels:
+                want = ah_closure_leq(b1, b2)
+                got = closure_oracle_sweep(b1, b2, p)
+                if want != got:
+                    sweep_mm.append((b1, b2, "sweep", want, got))
         checker.add(f"group sweep agrees at n={n}, p={p}",
-                    not sweep_mm, checked, str(sweep_mm[:3]))
+                    not sweep_mm, len(labels) ** 2, str(sweep_mm[:3]))
+        # the orbits partition the p^n * p^(n^2 - n) points of the nilcone
+        # (Fine-Herstein count of nilpotent matrices)
+        orbits = [set(_orbit_walk(rep.x.rows, rep.v.entries, p))
+                  for rep in (build_representative(b, GF(p)) for b in labels)]
+        points = sum(map(len, orbits))
+        distinct = len(set().union(*orbits))
+        checker.add(f"orbits partition the {p ** (n * n)} nilcone points at n={n}, p={p}",
+                    points == distinct == p ** (n * n), points,
+                    f"{points} orbit points, {distinct} distinct")
     return checker.checks
 
 

@@ -8,6 +8,7 @@ from nilcones.linalg import Mat, Vec, stabilizer_dim_gl
 from nilcones.partitions import Bipartition, Composition, enumerate_bipartitions
 from nilcones.enhanced import (
     EnhancedElement,
+    _orbit_walk,
     InductionDatum,
     act,
     build_representative,
@@ -202,6 +203,26 @@ def test_closure_oracles_agree_n2():
                 assert flag == closure_oracle_sweep(b1, b2, p)
                 assert flag == closure_leq(b1, b2)
                 assert flag == closure_oracle_flag(b1, b2, p, alt_order=True)
+
+
+def test_orbit_walk_partitions_nilcone_points():
+    # The GL_n(F_p)-orbits of the representatives partition the F_p-points
+    # of the enhanced nilcone: p^n vectors times the p^(n^2 - n) nilpotent
+    # matrices (Fine-Herstein), so p^(n^2) points.  A missing generator or a
+    # representative wrong over F_p breaks the count or the disjointness.
+    expected = {(0, 2): 1, (1, 2): 2, (2, 2): 16, (3, 2): 512,
+                (0, 3): 1, (1, 3): 3, (2, 3): 81, (3, 3): 19683}
+    for (n, p), total in expected.items():
+        assert total == p ** (n * n)
+        seen = set()
+        points = 0
+        for b in enumerate_bipartitions(n):
+            rep = build_representative(b, field=GF(p))
+            orbit = set(_orbit_walk(rep.x.rows, rep.v.entries, p))
+            assert seen.isdisjoint(orbit), (n, p, b)
+            seen |= orbit
+            points += len(orbit)
+        assert points == total, (n, p)
 
 
 def test_closure_implies_dimension_monotone():
