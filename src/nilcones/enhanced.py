@@ -10,6 +10,7 @@ that certify the combinatorial order at small rank.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -393,58 +394,91 @@ def closure_oracle_flag(b_small, b_big, p, alt_order=False):
 
 
 def _conjugations(n, p):
-    """The maps (v, x) -> (gv, g x g^-1) on flat points v + rows of x, one
-    per generator g of GL_n(F_p) that applies at this n and p."""
+    """The actions v -> gv and x -> g x g^-1, on the tuple v and the flat
+    tuple of the rows of x, as one pair of maps per generator g of
+    GL_n(F_p) that applies at this n and p."""
     maps = []
     if n >= 2:
-        def transvection(pt):
-            # g = I + e_12: v_1 and row 1 of x gain v_2 and row 2, then
-            # column 2 of x loses column 1
-            q = list(pt)
-            q[0] = (q[0] + q[1]) % p
-            for j in range(n, 2 * n):
+        def transvection_v(v):
+            # g = I + e_12: v_1 gains v_2
+            return ((v[0] + v[1]) % p, *v[1:])
+
+        def transvection_x(x):
+            # row 1 of x gains row 2, then column 2 loses column 1
+            q = list(x)
+            for j in range(n):
                 q[j] = (q[j] + q[j + n]) % p
-            for k in range(n, n + n * n, n):
+            for k in range(0, n * n, n):
                 q[k + 1] = (q[k + 1] - q[k]) % p
             return tuple(q)
 
         # the n-cycle g e_j = e_{j+1}: (gv)_i = v_{i-1}, (g x g^-1)_ij = x_{i-1,j-1}
         shift = [(i - 1) % n for i in range(n)]
-        maps += [transvection, itemgetter(*shift, *(n + n * i + j for i in shift for j in shift))]
+        maps += [(transvection_v, transvection_x),
+                 (itemgetter(*shift), itemgetter(*(n * i + j for i in shift for j in shift)))]
     if n >= 1 and p > 2:
         z = next(z for z in range(2, p) if len({pow(z, k, p) for k in range(p - 1)}) == p - 1)
         z_inv = pow(z, -1, p)
 
-        def dilation(pt):
-            # g = diag(z, 1, ..., 1): v_1 and row 1 of x scale by z, column 1 by z^-1
-            q = list(pt)
-            q[0] = q[0] * z % p
-            for j in range(n + 1, 2 * n):
+        def dilation_v(v):
+            # g = diag(z, 1, ..., 1): v_1 scales by z
+            return (v[0] * z % p, *v[1:])
+
+        def dilation_x(x):
+            # row 1 of x scales by z, column 1 by z^-1
+            q = list(x)
+            for j in range(1, n):
                 q[j] = q[j] * z % p
-            for k in range(2 * n, n + n * n, n):
+            for k in range(n, n * n, n):
                 q[k] = q[k] * z_inv % p
             return tuple(q)
 
-        maps.append(dilation)
+        maps.append((dilation_v, dilation_x))
     return maps
+
+
+def _orbit_table(start, maps):
+    """The orbit of ``start`` under ``maps``, breadth first, as (points,
+    successors): ``successors[g][i]`` is the index of maps[g](points[i])."""
+    points, index = [start], {start: 0}
+    successors = [[] for _ in maps]
+    for pt in points:
+        for g, row in zip(maps, successors):
+            q = g(pt)
+            if q not in index:
+                index[q] = len(points)
+                points.append(q)
+            row.append(index[q])
+    return points, successors
 
 
 def _orbit_walk(xrows, ventries, p):
     """Breadth-first walk of the GL_n(F_p)-orbit of (v, x) under the maps of
     :func:`_conjugations`: yields each orbit point once, as the flat tuple
-    v + rows of x, starting with (v, x) itself."""
+    v + rows of x, starting with (v, x) itself.
+
+    The group acts on v and on x apart, so the walk first tabulates the
+    orbit of v and the orbit of x, and then walks pairs of their indices:
+    it holds a byte per pair and a queue entry per orbit point, not the
+    points themselves.
+    """
     maps = _conjugations(len(ventries), p)
-    start = tuple(ventries) + tuple(e for row in xrows for e in row)
-    seen = {start}
-    queue = [start]
-    yield start
-    for pt in queue:
-        for g in maps:
-            q = g(pt)
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-                yield q
+    vs, v_next = _orbit_table(tuple(int(e) for e in ventries), [g for g, _ in maps])
+    xs, x_next = _orbit_table(tuple(int(e) for row in xrows for e in row), [h for _, h in maps])
+    size = len(xs)
+    seen = bytearray(len(vs) * size)
+    seen[0] = 1
+    queue = array("i", [0])
+    yield vs[0] + xs[0]
+    for code in queue:
+        vi, xi = divmod(code, size)
+        for v_row, x_row in zip(v_next, x_next):
+            vj, xj = v_row[vi], x_row[xi]
+            pair = vj * size + xj
+            if not seen[pair]:
+                seen[pair] = 1
+                queue.append(pair)
+                yield vs[vj] + xs[xj]
 
 
 def closure_oracle_sweep(b_small, b_big, p):
