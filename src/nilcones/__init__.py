@@ -21,7 +21,6 @@ from .linalg import (
     Mat,
     Vec,
     charpoly,
-    enumerate_subspaces,
     jordan_chevalley_split,
     jordan_type_nilpotent,
     limit_along_cocharacter,

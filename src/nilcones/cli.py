@@ -68,13 +68,22 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 # ---------------------------------------------------------------------------
 
 
+def _integer(doc, key):
+    """doc[key], which must be a JSON integer: a float, a bool or text is
+    refused, not truncated or converted."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ParseError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
 def parse_element_document(doc):
     """Dict -> EnhancedElement or ExoticElement; ParseError on bad input."""
     try:
-        n = int(doc["n"])
+        n = _integer(doc, "n")
         module = doc["module"]
         field_tag = doc["field"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad element document: {exc}") from exc
     if module not in ("enhanced", "exotic"):
         raise ParseError(f"unknown module: {module!r}")
@@ -82,7 +91,7 @@ def parse_element_document(doc):
         field = QQ
     elif field_tag == "Fp":
         try:
-            field = GF(int(doc["p"]))
+            field = GF(_integer(doc, "p"))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad prime: {exc}") from exc
     else:

@@ -12,11 +12,21 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, InvariantViolation, NotRigidDatum, SizeMismatch
 from .fields import GF, QQ
-from .linalg import Mat, Vec, echelon_patterns, jordan_chevalley_split, restricted_jordan_type
+from .linalg import (
+    Mat,
+    Vec,
+    _echelon,
+    _echelon_insert,
+    _free_column_basis,
+    _residual,
+    echelon_patterns,
+    jordan_chevalley_split,
+    restricted_jordan_type,
+)
 from .partitions import (
     Bipartition,
     Composition,
@@ -233,67 +243,7 @@ def closure_leq(b1, b2):
     return ah_closure_leq(b1, b2)
 
 
-def _echelon_insert(rows, vec, p):
-    """Insert vec into RREF rows (tuple sorted by pivot); returns new rows,
-    or the old tuple if vec reduces to zero."""
-    v = list(vec)
-    for piv, row in rows:
-        if v[piv]:
-            c = v[piv]
-            v = [(a - c * b) % p for a, b in zip(v, row)]
-    piv = next((j for j, a in enumerate(v) if a), None)
-    if piv is None:
-        return rows
-    inv = pow(v[piv], p - 2, p)
-    v = tuple((a * inv) % p for a in v)
-    out = []
-    for pv, row in rows:
-        if row[piv]:
-            c = row[piv]
-            row = tuple((a - c * b) % p for a, b in zip(row, v))
-        out.append((pv, row))
-    out.append((piv, v))
-    out.sort()
-    return tuple(out)
-
-
-def _echelon(vectors, p):
-    rows = ()
-    for vec in vectors:
-        rows = _echelon_insert(rows, vec, p)
-    return rows
-
-
-def _residual(vec, rows, p):
-    v = list(vec)
-    for piv, row in rows:
-        if v[piv]:
-            c = v[piv]
-            v = [(a - c * b) % p for a, b in zip(v, row)]
-    return tuple(v)
-
-
-def _in_span(vec, rows, p):
-    return not any(_residual(vec, rows, p))
-
-
-def _nullspace_p(mat_rows, p, n):
-    """RREF nullspace of an (m x n) int matrix mod p, as echelon rows."""
-    ech = _echelon(mat_rows, p)
-    pivots = {piv for piv, _ in ech}
-    basis = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        v = [0] * n
-        v[c] = 1
-        for r, (piv, row) in enumerate(ech):
-            v[piv] = (-ech[r][1][c]) % p
-        basis.append(tuple(v))
-    return _echelon(basis, p)
-
-
-def _subspaces_between(S, T, d, p, n):
+def _subspaces_between(S, T, d, p):
     """All echelon bases F with span(S) <= F <= span(T), dim F = d."""
     s, t = len(S), len(T)
     if not s <= d <= t:
@@ -301,24 +251,14 @@ def _subspaces_between(S, T, d, p, n):
     if d == s:
         yield S
         return
-    complement = []
-    for _, row in T:
-        res = _residual(row, S, p)
-        if any(res):
-            ech = _echelon(complement + [res], p)
-            if len(ech) > len(complement):
-                complement = [r for _, r in ech]
+    # the residuals of T mod S span a complement of S in T
+    complement = [row for _, row in _echelon((_residual(row, S, p) for _, row in T), p)]
     if len(complement) != t - s:
         raise InvariantViolation(f"complement of dimension {len(complement)}, not {t - s}")
+    cols = tuple(zip(*complement))
     for pattern in echelon_patterns(t - s, d - s, p):
-        lifted = []
-        for prow in pattern:
-            vec = [0] * n
-            for coeff, cvec in zip(prow, complement):
-                if coeff:
-                    vec = [(a + coeff * b) % p for a, b in zip(vec, cvec)]
-            lifted.append(tuple(vec))
-        yield _echelon([r for _, r in S] + lifted, p)
+        lifted = ([sum(map(mul, prow, col)) % p for col in cols] for prow in pattern)
+        yield _echelon(lifted, p, S)
 
 
 def _flag_witness_exists(xrows, ventries, comp, k, p):
@@ -341,20 +281,16 @@ def _flag_witness_exists(xrows, ventries, comp, k, p):
         state = (i, F)
         if state in failed:
             return False
-        residuals = [_residual(col, F, p) for col in x_cols]
-        constraint = []
-        for c in range(n):
-            row = tuple(residuals[j][c] for j in range(n))
-            if any(row):
-                constraint.append(row)
-        T = _nullspace_p(constraint, p, n)
+        # T = {y : x y in F}, the kernel of y -> x y mod F
+        constraint = _echelon(zip(*(_residual(col, F, p) for col in x_cols)), p)
+        T = _echelon(_free_column_basis(constraint, n, p), p)
         S = F
         if i + 1 == k:
-            if not _in_span(ventries, T, p):
+            if any(_residual(ventries, T, p)):
                 failed.add(state)
                 return False
-            S = _echelon([r for _, r in F] + [tuple(ventries)], p)
-        for F_next in _subspaces_between(S, T, dims[i], p, n):
+            S = _echelon_insert(F, ventries, p)
+        for F_next in _subspaces_between(S, T, dims[i], p):
             if rec(i + 1, F_next):
                 return True
         failed.add(state)

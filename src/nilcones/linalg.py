@@ -5,8 +5,11 @@ Matrices and vectors are immutable, tagged with one field object from
 product, the inverse and the characteristic polynomial clear denominators
 once and compute on Python ints: an integer product, a fraction-free
 (Bareiss) inverse and Berkowitz's division-free characteristic polynomial,
-so one code path serves Q and F_p.  Rank and nullspace run exact Gaussian
-elimination, with Bareiss's integer path for the rank over Q.
+so one code path serves Q and F_p.  One elimination serves each field for
+rank, rref and nullspace: over F_p an incremental reduced echelon form on
+int residues, which the flag oracle of :mod:`nilcones.enhanced` calls
+directly; over Q Bareiss's integer elimination for the rank and
+Gauss-Jordan on Fractions for rref and nullspace.
 """
 
 from __future__ import annotations
@@ -18,18 +21,14 @@ from itertools import combinations, product
 from math import lcm
 
 from .errors import (
-    BudgetExceeded,
     InvariantViolation,
     NonSplitSpectrum,
     NotNilpotent,
     SizeMismatch,
     WedgeViolation,
 )
-from .fields import GF, QQ, PrimeField, RationalField
+from .fields import QQ, PrimeField
 from . import partitions
-
-SUBSPACE_BUDGET_N = 5
-SUBSPACE_PRIMES = (2, 3, 5)
 
 
 @dataclass(frozen=True)
@@ -231,16 +230,53 @@ def _rank_bareiss(int_rows):
     return r
 
 
-def _eliminate(field, rows, full):
-    """Gaussian elimination on a copy of rows; returns (rows, pivot columns).
+def _residual(vec, rows, p):
+    """vec minus its components along the echelon rows, mod p: zero iff vec
+    lies in their span."""
+    v = list(vec)
+    for piv, row in rows:
+        c = v[piv]
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+    return v
 
-    With ``full=False`` only the rows below each pivot are cleared, which
-    stops at a row echelon form (enough for the rank); with ``full=True``
-    each pivot row is normalised and cleared from every other row, giving
-    the reduced row echelon form.
+
+def _echelon_insert(rows, vec, p):
+    """The reduced echelon form over F_p of span(rows) + span(vec).
+
+    rows is a tuple of (pivot, row) pairs sorted by pivot; each row is an
+    int tuple in [0, p) with 1 at its pivot and 0 at the other pivots.
+    This form is unique to the span, so it can key a memo.  vec holds ints
+    in [0, p); rows itself comes back when vec lies in its span.
     """
-    f = field
-    zero = f.zero
+    v = _residual(vec, rows, p)
+    piv = next((j for j, a in enumerate(v) if a), None)
+    if piv is None:
+        return rows
+    inv = pow(v[piv], p - 2, p)
+    v = tuple(a * inv % p for a in v)
+    out = []
+    for pv, row in rows:
+        c = row[piv]
+        if c:
+            row = tuple((a - c * b) % p for a, b in zip(row, v))
+        out.append((pv, row))
+    out.append((piv, v))
+    out.sort()
+    return tuple(out)
+
+
+def _echelon(vectors, p, rows=()):
+    """The reduced echelon rows over F_p of span(rows) + span(vectors),
+    one vector inserted at a time."""
+    for vec in vectors:
+        rows = _echelon_insert(rows, vec, p)
+    return rows
+
+
+def _eliminate(rows):
+    """Gauss-Jordan elimination over Q on a copy of the Fraction rows; the
+    (pivot, row) pairs of the nonzero rows of the reduced echelon form."""
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if a else 0
@@ -249,55 +285,66 @@ def _eliminate(field, rows, full):
         r = len(pivots)
         if r == m:
             break
-        piv = next((i for i in range(r, m) if a[i][c] != zero), None)
+        piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         row_r = a[r]
-        inv = f.inv(row_r[c])
-        if full:
-            row_r[c:] = [f.mul(inv, e) for e in row_r[c:]]
+        inv = 1 / row_r[c]
         # entries left of column c are zero in the pivot row, so every
         # update starts at column c
-        for i in range(0 if full else r + 1, m):
-            row_i = a[i]
-            if i == r or row_i[c] == zero:
-                continue
-            t = row_i[c] if full else f.mul(row_i[c], inv)
-            row_i[c:] = [f.sub(e, f.mul(t, q)) for e, q in zip(row_i[c:], row_r[c:])]
+        row_r[c:] = [inv * e for e in row_r[c:]]
+        for i, row_i in enumerate(a):
+            t = row_i[c]
+            if t and i != r:
+                row_i[c:] = [e - t * q for e, q in zip(row_i[c:], row_r[c:])]
         pivots.append(c)
-    return a, pivots
+    return [(c, tuple(row)) for c, row in zip(pivots, a)]
+
+
+def _reduced(m):
+    """(pivot, row) pairs of the nonzero rows of the reduced echelon form."""
+    f = m.field
+    return _echelon(m.rows, f.p) if f.char else _eliminate(m.rows)
+
+
+def _free_column_basis(ech, n, p):
+    """Right nullspace of the reduced echelon rows ech over F_p, or over Q
+    when p = 0: one vector per free column c, with 1 at c, minus column c
+    of ech at the pivots and 0 at the other free columns."""
+    pivots = {piv for piv, _ in ech}
+    basis = []
+    for c in range(n):
+        if c not in pivots:
+            v = [0] * n
+            v[c] = 1
+            for piv, row in ech:
+                v[piv] = -row[c] % p if p else -row[c]
+            basis.append(v)
+    return basis
 
 
 def rank(m):
-    """Row rank by exact Gaussian elimination."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    if isinstance(m.field, RationalField):
-        return _rank_bareiss(_int_rows(m.field, m.rows)[0])
-    return len(_eliminate(m.field, m.rows, full=False)[1])
+    """Row rank: the echelon kernel over F_p, Bareiss over Q."""
+    f = m.field
+    if f.char:
+        return len(_echelon(m.rows, f.p))
+    return _rank_bareiss(_int_rows(f, m.rows)[0])
 
 
 def rref(m):
     """Reduced row echelon form; returns (Mat, pivot column tuple)."""
-    a, pivots = _eliminate(m.field, m.rows, full=True)
-    return Mat(m.field, tuple(tuple(row) for row in a)), tuple(pivots)
+    f = m.field
+    ech = _reduced(m)
+    zero = (f.zero,) * m.ncols
+    return (Mat(f, tuple(row for _, row in ech) + (zero,) * (m.nrows - len(ech))),
+            tuple(piv for piv, _ in ech))
 
 
 def nullspace(m):
     """Basis of the right nullspace, one Vec per free column."""
     f = m.field
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for c in free:
-        v = [f.zero] * m.ncols
-        v[c] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.rows[r][c])
-        basis.append(Vec(f, tuple(v)))
-    return basis
+    return [Vec(f, tuple(v)) for v in _free_column_basis(_reduced(m), m.ncols, f.char)]
 
 
 def inverse(m):
@@ -589,21 +636,6 @@ def echelon_patterns(n, d, p):
             for (r, c), val in zip(free_slots, values):
                 rows[r][c] = val
             yield tuple(tuple(r) for r in rows)
-
-
-def enumerate_subspaces(n, d, p):
-    """Yield every d-dimensional subspace of F_p^n exactly once.
-
-    Each subspace appears as its reduced-row-echelon basis, a d x n Mat
-    over GF(p).  Hard budget: n <= 5 and p in {2, 3, 5}.
-    """
-    if n > SUBSPACE_BUDGET_N or p not in SUBSPACE_PRIMES:
-        raise BudgetExceeded(f"subspace enumeration capped at n <= {SUBSPACE_BUDGET_N}, p in {SUBSPACE_PRIMES}")
-    if not 0 <= d <= n:
-        raise ValueError("need 0 <= d <= n")
-    field = GF(p)
-    for rows in echelon_patterns(n, d, p):
-        yield Mat(field, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ def test_element_document_errors():
     with pytest.raises(ParseError):
         parse_element_document({"n": 1, "module": "enhanced", "field": "Fp",
                                 "v": ["1"], "x": [["0"]]})
+    # n and p must be JSON integers: no truncation, no bool, no null or list
+    good = {"n": 1, "module": "enhanced", "field": "Fp", "p": 7, "v": ["1"], "x": [["0"]]}
+    assert parse_element_document(good).field == GF(7)
+    for key, bad in (("p", 7.9), ("p", 7.0), ("p", True), ("p", None), ("p", [7]),
+                     ("p", "7"), ("n", 1.0), ("n", 2.7), ("n", True), ("n", None)):
+        with pytest.raises(ParseError):
+            parse_element_document({**good, key: bad})
+    with pytest.raises(ParseError):
+        parse_element_document(["n", 1])
 
 
 def test_cmd_orbits(capsys):
@@ -125,6 +134,11 @@ def test_cmd_identify_errors(capsys, tmp_path):
                                 "v": ["1", "1"], "x": [["1", "0"], ["0", "2"]]}))
     # non-nilpotent at orbit level is a library error, reported as usage error
     assert main(["identify", "--file", str(path), "--level", "orbit"]) == 2
+    for bad_p in (None, [7], 7.9):
+        path.write_text(json.dumps({"n": 1, "module": "enhanced", "field": "Fp",
+                                    "p": bad_p, "v": ["1"], "x": [["0"]]}))
+        assert main(["identify", "--file", str(path)]) == 2
+    capsys.readouterr()
 
 
 def test_cmd_hasse(capsys, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcones.errors import (
-    BudgetExceeded,
     NonSplitSpectrum,
     NotNilpotent,
     WedgeViolation,
@@ -16,7 +15,7 @@ from nilcones.linalg import (
     Vec,
     charpoly,
     det,
-    enumerate_subspaces,
+    echelon_patterns,
     gaussian_binomial,
     inverse,
     jordan_chevalley_split,
@@ -93,15 +92,26 @@ def test_rank_matches_rref_and_sympy(m):
     from sympy.polys.matrices import DomainMatrix
 
     r = rank(m)
-    assert r == len(rref(m)[1])
+    red, pivots = rref(m)
+    assert r == len(pivots)
     if m.field == QQ:
         ref = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
                             for row in m.rows]).rank()
     else:
-        dom = sympy.GF(m.field.p)
-        ref = DomainMatrix([[dom(e) for e in row] for row in m.rows],
-                           (m.nrows, m.ncols), dom).rank()
+        p = m.field.p
+        dom = sympy.GF(p)
+        dm = DomainMatrix([[dom(e) for e in row] for row in m.rows], (m.nrows, m.ncols), dom)
+        ref = dm.rank()
+        ref_red, ref_pivots = dm.rref()
+        assert red.rows == tuple(tuple(int(e) % p for e in row) for row in ref_red.to_list())
+        assert pivots == tuple(ref_pivots)
     assert r == ref
+    basis = nullspace(m)
+    assert len(basis) == m.ncols - r
+    for v in basis:
+        assert m.mul_vec(v).is_zero()
+    if basis:
+        assert rank(Mat(m.field, tuple(v.entries for v in basis))) == len(basis)
 
 
 def test_scalar_coercion_is_exact():
@@ -214,22 +224,18 @@ def test_stabilizer_dim_sp_examples():
 
 
 def test_subspace_enumeration():
-    assert len(list(enumerate_subspaces(2, 1, 2))) == 3
-    assert len(list(enumerate_subspaces(4, 2, 2))) == 35
-    assert len(list(enumerate_subspaces(3, 0, 3))) == 1
+    assert len(list(echelon_patterns(2, 1, 2))) == 3
+    assert len(list(echelon_patterns(4, 2, 2))) == 35
+    assert len(list(echelon_patterns(3, 0, 3))) == 1
     for p in (2, 3, 5):
         for n in range(6):
             for d in range(n + 1):
-                spaces = list(enumerate_subspaces(n, d, p))
+                spaces = list(echelon_patterns(n, d, p))
                 assert len(spaces) == gaussian_binomial(n, d, p)
-                assert len(set(s.rows for s in spaces)) == len(spaces)
+                assert len(set(spaces)) == len(spaces)
                 if len(spaces) < 2000:
                     for s in spaces:
-                        assert rank(s) == d
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_subspaces(6, 2, 2))
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_subspaces(3, 1, 7))
+                        assert rank(Mat(GF(p), s)) == d
 
 
 def test_charpoly_examples():
@@ -377,6 +383,60 @@ def test_charpoly_matches_determinant_at_points(m):
         for k in coeffs:
             horner = f.add(f.mul(horner, c), k)
         assert horner == det(Mat.scalar(f, n, c).sub(m))
+
+
+def cofactor_det(f, rows):
+    """Laplace expansion along the first row, in field arithmetic."""
+    if not rows:
+        return f.one
+    total = f.zero
+    for j, a in enumerate(rows[0]):
+        if a != f.zero:
+            term = f.mul(a, cofactor_det(f, tuple(row[:j] + row[j + 1:] for row in rows[1:])))
+            total = f.sub(total, term) if j % 2 else f.add(total, term)
+    return total
+
+
+@given(square_matrices())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_det_matches_cofactor_expansion(m):
+    assert det(m) == cofactor_det(m.field, m.rows)
+
+
+@st.composite
+def nilpotent_matrices(draw):
+    """g u g^-1 for a strictly upper-triangular u with many zeros, n <= 5."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), kernel_entries(field))
+    u = Mat(field, tuple(tuple(draw(entry) if j > i else 0 for j in range(n))
+                         for i in range(n)))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    g = random_gl(n, rng) if field == QQ else random_invertible_mod_p(n, field.p, rng)
+    return g.mul(u).mul(inverse(g))
+
+
+@given(nilpotent_matrices())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_jordan_type_matches_rank_sequence_and_sympy(x):
+    n = x.nrows
+    lam = jordan_type_nilpotent(x)
+    assert sum(lam) == n and min(lam) > 0 and list(lam) == sorted(lam, reverse=True)
+    # rank x^i = sum_j max(lam_j - i, 0): i boxes drop off each Jordan chain
+    power = Mat.identity(x.field, n)
+    for i in range(n + 1):
+        assert rank(power) == sum(max(part - i, 0) for part in lam)
+        power = power.mul(x)
+    if x.field == QQ:
+        _, jordan = to_sympy(x).jordan_form()
+        sizes, run = [], 1
+        for i in range(n - 1):
+            if jordan[i, i + 1] == 0:
+                sizes.append(run)
+                run = 1
+            else:
+                run += 1
+        assert tuple(sorted(sizes + [run], reverse=True)) == lam
 
 
 @given(square_matrices(fields=(QQ,)))
