@@ -77,6 +77,13 @@ def _integer(doc, key):
     return value
 
 
+def _scalar(field, s):
+    """A v or x entry: JSON text or an integer, never a float or a bool."""
+    if type(s) not in (str, int):
+        raise ParseError(f"entries must be strings or integers, not {s!r}")
+    return field.parse(str(s))
+
+
 def parse_element_document(doc):
     """Dict -> EnhancedElement or ExoticElement; ParseError on bad input."""
     try:
@@ -98,8 +105,8 @@ def parse_element_document(doc):
         raise ParseError(f"unknown field tag: {field_tag!r}")
     dim = n if module == "enhanced" else 2 * n
     try:
-        ventries = tuple(field.parse(str(s)) for s in doc["v"])
-        xrows = tuple(tuple(field.parse(str(s)) for s in row) for row in doc["x"])
+        ventries = tuple(_scalar(field, s) for s in doc["v"])
+        xrows = tuple(tuple(_scalar(field, s) for s in row) for row in doc["x"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad element document: {exc}") from exc
     if len(ventries) != dim or len(xrows) != dim or any(len(r) != dim for r in xrows):

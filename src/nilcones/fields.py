@@ -12,14 +12,23 @@ from fractions import Fraction
 from .errors import ParseError
 
 
+# Miller-Rabin on these bases is exact below 3.317e24 (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; ValueError where its bases do not decide."""
+    if p >= 3317044064679887385961981:
+        raise ValueError(f"primality of {p} is not decided by the bases up to 37")
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return p in _MR_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x != 1 and p - 1 not in (pow(x, 2 ** i, p) for i in range(s)):
             return False
-        d += 1
     return True
 
 

@@ -3,13 +3,13 @@
 Matrices and vectors are immutable, tagged with one field object from
 :mod:`nilcones.fields`, and every operation is a pure function.  The
 product, the inverse and the characteristic polynomial clear denominators
-once and compute on Python ints: an integer product, a fraction-free
-(Bareiss) inverse and Berkowitz's division-free characteristic polynomial,
-so one code path serves Q and F_p.  One elimination serves each field for
-rank, rref and nullspace: over F_p an incremental reduced echelon form on
-int residues, which the flag oracle of :mod:`nilcones.enhanced` calls
-directly; over Q Bareiss's integer elimination for the rank and
-Gauss-Jordan on Fractions for rref and nullspace.
+once and compute on Python ints: an integer product and Berkowitz's
+division-free characteristic polynomial serve Q and F_p alike.  One
+elimination serves each field: over Q fraction-free (Bareiss) elimination
+with exact back substitution on ints, behind rank, rref, nullspace and the
+inverse (which runs it on F_p residues too); over F_p an incremental reduced
+echelon form on int residues, behind rank, rref, nullspace and the flag
+oracle of :mod:`nilcones.enhanced`.  ``det`` is the field-generic reference.
 """
 
 from __future__ import annotations
@@ -200,34 +200,57 @@ def _from_int(f, a, d):
 # ---------------------------------------------------------------------------
 
 
-def _rank_bareiss(int_rows):
-    """Fraction-free integer elimination; all divisions are exact."""
-    a = [list(r) for r in int_rows]
+def _bareiss(a):
+    """Forward fraction-free (Bareiss) elimination on the int rows a, in
+    place: (pivot columns, last pivot, or 1 if none).  Row k ends as minors
+    on the first k + 1 pivot rows and columns; every division is exact by
+    Sylvester's identity."""
     m = len(a)
     n = len(a[0]) if a else 0
     prev = 1
-    r = 0
+    pivots = []
     for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
+        row_r = a[r]
+        pivot = row_r[c]
+        # entries left of column c are zero in every row from r on; the
+        # in-place loops beat list comprehensions on these short rows
         for i in range(r + 1, m):
-            ric = a[i][c]
-            # rows must be rescaled by pivot/prev even when ric = 0, or the
-            # later exact divisions of the Sylvester identity break
-            if ric == 0 and pivot == prev:
-                continue
-            row_i, row_r = a[i], a[r]
-            for j in range(c + 1, n):
-                row_i[j] = (row_i[j] * pivot - ric * row_r[j]) // prev
-            row_i[c] = 0
+            row_i = a[i]
+            t = row_i[c]
+            if t:
+                for j in range(c + 1, n):
+                    row_i[j] = (pivot * row_i[j] - t * row_r[j]) // prev
+                row_i[c] = 0
+            elif pivot != prev:
+                # rows must be rescaled by pivot/prev even when t = 0, or
+                # the later exact divisions of the Sylvester identity break
+                for j in range(c + 1, n):
+                    row_i[j] = pivot * row_i[j] // prev
         prev = pivot
-        r += 1
-        if r == m:
-            break
-    return r
+        pivots.append(c)
+    return pivots, prev
+
+
+def _back_substitute(a, pivots, d):
+    """Turn the output of :func:`_bareiss` into d times the reduced echelon
+    form, in place, from the last pivot row up.  Each division is exact:
+    the result is a vector of minors."""
+    for k in range(len(pivots) - 1, -1, -1):
+        row = a[k]
+        acc = [d * e for e in row]
+        for j in range(k + 1, len(pivots)):
+            t = row[pivots[j]]
+            if t:
+                acc = [e - t * q for e, q in zip(acc, a[j])]
+        lead = row[pivots[k]]
+        a[k] = [e // lead for e in acc]
 
 
 def _residual(vec, rows, p):
@@ -274,38 +297,15 @@ def _echelon(vectors, p, rows=()):
     return rows
 
 
-def _eliminate(rows):
-    """Gauss-Jordan elimination over Q on a copy of the Fraction rows; the
-    (pivot, row) pairs of the nonzero rows of the reduced echelon form."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        row_r = a[r]
-        inv = 1 / row_r[c]
-        # entries left of column c are zero in the pivot row, so every
-        # update starts at column c
-        row_r[c:] = [inv * e for e in row_r[c:]]
-        for i, row_i in enumerate(a):
-            t = row_i[c]
-            if t and i != r:
-                row_i[c:] = [e - t * q for e, q in zip(row_i[c:], row_r[c:])]
-        pivots.append(c)
-    return [(c, tuple(row)) for c, row in zip(pivots, a)]
-
-
 def _reduced(m):
     """(pivot, row) pairs of the nonzero rows of the reduced echelon form."""
     f = m.field
-    return _echelon(m.rows, f.p) if f.char else _eliminate(m.rows)
+    if f.char:
+        return _echelon(m.rows, f.p)
+    a, _ = _int_rows(f, m.rows)
+    pivots, d = _bareiss(a)
+    _back_substitute(a, pivots, d)
+    return [(c, tuple(Fraction(e, d) for e in row)) for c, row in zip(pivots, a)]
 
 
 def _free_column_basis(ech, n, p):
@@ -329,7 +329,7 @@ def rank(m):
     f = m.field
     if f.char:
         return len(_echelon(m.rows, f.p))
-    return _rank_bareiss(_int_rows(f, m.rows)[0])
+    return len(_bareiss(_int_rows(f, m.rows)[0])[0])
 
 
 def rref(m):
@@ -348,34 +348,21 @@ def nullspace(m):
 
 
 def inverse(m):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) on [a | I] for the
-    int rows a = d m: it ends at [D I | D a^-1] with D = +-det a, so
-    m^-1 = d (D a^-1) / D.  ValueError when D is zero in the field."""
+    """Bareiss and back substitution on [a | I] for the int rows a = d m:
+    they end at [D I | D a^-1] with D = +-det a, so m^-1 = d (D a^-1) / D.
+    ValueError when D is zero in the field."""
     if not m.is_square():
         raise SizeMismatch("inverse needs a square matrix")
     f = m.field
     n = m.nrows
     a, d = _int_rows(f, m.rows)
     a = [list(row) + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        row_k = a[k][k + 1:]
-        pivot = a[k][k]
-        # columns left of k are never read again, so every update starts at
-        # column k + 1; Sylvester's identity makes each division exact
-        for i, row_i in enumerate(a):
-            if i != k:
-                t = row_i[k]
-                row_i[k + 1:] = [(pivot * e - t * q) // prev
-                                 for e, q in zip(row_i[k + 1:], row_k)]
-        prev = pivot
-    if _from_int(f, prev, 1) == f.zero:
+    pivots, det_a = _bareiss(a)
+    # singular over Z, or D = 0 mod p
+    if pivots != list(range(n)) or _from_int(f, det_a, 1) == f.zero:
         raise ValueError("matrix is singular")
-    return Mat(f, tuple(tuple(_from_int(f, d * e, prev) for e in row[n:]) for row in a))
+    _back_substitute(a, pivots, det_a)
+    return Mat(f, tuple(tuple(_from_int(f, d * e, det_a) for e in row[n:]) for row in a))
 
 
 def det(m):
@@ -846,13 +833,7 @@ def random_sp(n, rng, steps=3):
         kind = rng.randrange(3)
         if kind == 0:
             g = random_gl(n, rng)
-            git = inverse(g).transpose()
-            rows = []
-            for i in range(n):
-                rows.append(tuple(g.rows[i]) + (f.zero,) * n)
-            for i in range(n):
-                rows.append((f.zero,) * n + tuple(git.rows[i]))
-            elem = Mat(f, tuple(rows))
+            elem = Mat.block_diag(f, (g, inverse(g).transpose()))
         else:
             b = [[f.zero] * n for _ in range(n)]
             for i in range(n):

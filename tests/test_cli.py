@@ -56,6 +56,15 @@ def test_element_document_errors():
             parse_element_document({**good, key: bad})
     with pytest.raises(ParseError):
         parse_element_document(["n", 1])
+    # v and x entries must be JSON strings or integers: a float is not read
+    # through its decimal spelling, nor a bool as 0 or 1
+    for doc in ({"n": 1, "module": "enhanced", "field": "Q"}, good):
+        assert parse_element_document({**doc, "v": [3], "x": [["0"]]}).v.entries == (3,)
+        for bad in (0.1, 1e-400, 2.0, True, False, None, ["1"]):
+            with pytest.raises(ParseError):
+                parse_element_document({**doc, "v": [bad], "x": [["0"]]})
+            with pytest.raises(ParseError):
+                parse_element_document({**doc, "v": ["1"], "x": [[bad]]})
 
 
 def test_cmd_orbits(capsys):
@@ -138,6 +147,23 @@ def test_cmd_identify_errors(capsys, tmp_path):
         path.write_text(json.dumps({"n": 1, "module": "enhanced", "field": "Fp",
                                     "p": bad_p, "v": ["1"], "x": [["0"]]}))
         assert main(["identify", "--file", str(path)]) == 2
+    path.write_text(json.dumps({"n": 1, "module": "enhanced", "field": "Q",
+                                "v": [0.5], "x": [["0"]]}))
+    assert main(["identify", "--file", str(path)]) == 2
+    capsys.readouterr()
+
+
+def test_cmd_identify_large_prime(capsys, tmp_path):
+    # primality of p is decided by Miller-Rabin, not trial division up to sqrt(p)
+    path = tmp_path / "element.json"
+    doc = {"n": 2, "module": "enhanced", "field": "Fp", "p": 2 ** 61 - 1,
+           "v": ["1", "0"], "x": [["0", "1"], ["0", "0"]]}
+    path.write_text(json.dumps(doc))
+    assert main(["identify", "--file", str(path), "--level", "orbit"]) == 0
+    assert capsys.readouterr().out.strip() == "(1;1)"
+    # past the bound of the deterministic bases the prime is refused
+    path.write_text(json.dumps({**doc, "p": 2 ** 89 - 1}))
+    assert main(["identify", "--file", str(path), "--level", "orbit"]) == 2
     capsys.readouterr()
 
 

@@ -1,4 +1,7 @@
+import importlib
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,7 @@ from nilcones.errors import (
     NotNilpotent,
     WedgeViolation,
 )
-from nilcones.fields import GF, QQ
+from nilcones.fields import GF, QQ, _is_prime
 from nilcones.linalg import (
     Mat,
     Vec,
@@ -95,8 +98,13 @@ def test_rank_matches_rref_and_sympy(m):
     red, pivots = rref(m)
     assert r == len(pivots)
     if m.field == QQ:
-        ref = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
-                            for row in m.rows]).rank()
+        ref_m = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                              for row in m.rows])
+        ref = ref_m.rank()
+        ref_red, ref_pivots = ref_m.rref()
+        assert red.rows == tuple(tuple(Fraction(int(e.p), int(e.q)) for e in ref_red.row(i))
+                                 for i in range(ref_red.rows))
+        assert pivots == tuple(ref_pivots)
     else:
         p = m.field.p
         dom = sympy.GF(p)
@@ -128,6 +136,22 @@ def test_scalar_coercion_is_exact():
     # exact inputs keep working: ints, Fractions and rational text
     assert QQ.of("1/2") == Fraction(1, 2) and QQ.of(3) == 3
     assert f3.of(-1) == 2 and f3.of("1/2") == 2 and f3.of(True) == 1
+
+
+def test_is_prime_miller_rabin():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(_is_prime(n) == trial_division(n) for n in range(20000))
+    # Carmichael numbers and strong pseudoprimes to the first bases
+    for n in (561, 1105, 1729, 41041, 2047, 3215031751):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 31 - 1) and _is_prime(2 ** 61 - 1)
+    assert GF(2 ** 61 - 1).of(-1) == 2 ** 61 - 2
+    # past the bound where the twelve bases are exact, p is refused
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(ValueError):
+            GF(n)
 
 
 def test_field_mismatch_rejected():
@@ -577,3 +601,72 @@ def test_jordan_chevalley_prime_field_repeated_eigenvalues():
         for _ in range(n):
             power = power.mul(xn)
         assert power.is_zero()
+
+
+def baseline_linalg():
+    """The pinned field-generic Gauss-Jordan kernels of perfbench/baseline,
+    imported read-only as a reference."""
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "baseline")
+    if root not in sys.path:
+        sys.path.append(root)
+    return importlib.import_module("nilcones_baseline.linalg")
+
+
+def differential_rows(rng, field, m, n):
+    """An m x n int or Fraction matrix with zero rows, dependent rows, free
+    columns left of pivots and denominators over Q."""
+    if field == QQ:
+        def entry():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    else:
+        def entry():
+            return rng.randint(-field.p, 2 * field.p)
+    rows = [[entry() if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+    for _ in range(rng.randint(0, 2) if m else 0):
+        i, j = rng.randrange(m), rng.randrange(n)
+        kind, c = rng.randrange(3), rng.randint(-2, 2)
+        if kind == 0:
+            rows[i] = [0] * n
+        elif kind == 1 and i:  # a combination of two earlier rows
+            a, b = rows[rng.randrange(i)], rows[rng.randrange(i)]
+            rows[i] = [x + c * y for x, y in zip(a, b)]
+        elif kind == 2 and j:  # a multiple of an earlier column: a free column
+            k = rng.randrange(j)
+            for row in rows:
+                row[j] = c * row[k]
+    return rows
+
+
+def test_kernels_match_baseline_gauss_jordan():
+    base = baseline_linalg()
+    bf = sys.modules["nilcones_baseline.fields"]
+    fields = ((QQ, bf.QQ), (GF(2), bf.GF(2)), (GF(3), bf.GF(3)), (GF(7), bf.GF(7)))
+    rng = random.Random(2024)
+    shapes = [(0, 0)] + [(m, n) for m in range(1, 10) for n in range(1, 10)]
+    inverted = singular = 0
+    for field, bfield in fields:
+        for m, n in shapes:
+            for _ in range(3 if m != n else 12):
+                rows = differential_rows(rng, field, m, n)
+                ours = Mat(field, tuple(map(tuple, rows)))
+                ref = base.Mat(bfield, tuple(map(tuple, rows)))
+                assert rank(ours) == base.rank(ref)
+                red, pivots = rref(ours)
+                ref_red, ref_pivots = base.rref(ref)
+                assert (red.rows, pivots) == (ref_red.rows, ref_pivots)
+                assert ([v.entries for v in nullspace(ours)]
+                        == [v.entries for v in base.nullspace(ref)])
+                if m != n:
+                    continue
+                try:
+                    expected = base.inverse(ref).rows
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        inverse(ours)
+                    singular += 1
+                    continue
+                assert inverse(ours).rows == expected
+                inverted += 1
+    # both branches of inverse are exercised on every run
+    assert inverted > 100 and singular > 100
