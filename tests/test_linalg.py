@@ -146,9 +146,11 @@ def test_is_prime_miller_rabin():
     # Carmichael numbers and strong pseudoprimes to the first bases
     for n in (561, 1105, 1729, 41041, 2047, 3215031751):
         assert not _is_prime(n)
+    # a strong pseudoprime to every prime base up to 37, caught by base 41
+    assert not _is_prime(318665857834031151167461)
     assert _is_prime(2 ** 31 - 1) and _is_prime(2 ** 61 - 1)
     assert GF(2 ** 61 - 1).of(-1) == 2 ** 61 - 2
-    # past the bound where the twelve bases are exact, p is refused
+    # past the bound where the thirteen bases are exact, p is refused
     for n in (3317044064679887385961981, 2 ** 89 - 1):
         with pytest.raises(ValueError):
             GF(n)
