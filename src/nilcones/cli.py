@@ -105,6 +105,9 @@ def parse_element_document(doc):
         raise ParseError(f"unknown field tag: {field_tag!r}")
     dim = n if module == "enhanced" else 2 * n
     try:
+        # JSON lists only: text would be read one character at a time
+        if not all(type(a) is list for a in (doc["v"], doc["x"], *doc["x"])):
+            raise ParseError("v, x and the rows of x must be JSON lists")
         ventries = tuple(_scalar(field, s) for s in doc["v"])
         xrows = tuple(tuple(_scalar(field, s) for s in row) for row in doc["x"])
     except (KeyError, TypeError) as exc:

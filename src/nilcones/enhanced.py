@@ -305,9 +305,7 @@ def _oracle_prelude(b_small, b_big, p, budget_n):
     if b_small.n > budget_n or p not in ORACLE_PRIMES:
         raise BudgetExceeded(f"oracle capped at n <= {budget_n}, p in {ORACLE_PRIMES}")
     rep = build_representative(b_small, field=GF(p))
-    xrows = tuple(tuple(int(e) for e in row) for row in rep.x.rows)
-    ventries = tuple(int(e) for e in rep.v.entries)
-    return xrows, ventries
+    return rep.x.num, rep.v.num
 
 
 def closure_oracle_flag(b_small, b_big, p, alt_order=False):

@@ -3,6 +3,9 @@
 Scalars are plain Python values (``fractions.Fraction`` over Q, ints in
 ``[0, p)`` over F_p); the field object carries the arithmetic.  Containers in
 :mod:`nilcones.linalg` tag themselves with one field and refuse to mix tags.
+They coerce their entries through ``of`` once, when built from scalars, and
+then hold ints: int rows ``num`` over one common denominator ``den`` (1 over
+F_p), turned back into these scalars only when ``rows`` or ``entries`` is read.
 """
 
 from __future__ import annotations

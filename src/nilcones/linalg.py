@@ -1,15 +1,19 @@
 """Exact linear algebra over Q and F_p.
 
 Matrices and vectors are immutable, tagged with one field object from
-:mod:`nilcones.fields`, and every operation is a pure function.  The
-product, the inverse and the characteristic polynomial clear denominators
-once and compute on Python ints: an integer product and Berkowitz's
-division-free characteristic polynomial serve Q and F_p alike.  One
-elimination serves each field: over Q fraction-free (Bareiss) elimination
-with exact back substitution on ints, behind rank, rref, nullspace and the
-inverse (which runs it on F_p residues too); over F_p an incremental reduced
-echelon form on int residues, behind rank, rref, nullspace and the flag
-oracle of :mod:`nilcones.enhanced`.  ``det`` is the field-generic reference.
+:mod:`nilcones.fields`, and every operation is a pure function.  They hold
+Python ints, as FLINT's ``fmpq_mat`` does: a :class:`Mat` stores int rows
+``num`` over one common denominator ``den`` (a :class:`Vec` an int tuple),
+with ``den`` 1 and residues in [0, p) over F_p and ``gcd(den, *num) = 1``
+over Q.  The kernels read and write these ints, so no scalar is converted
+between them; ``rows`` and ``entries`` build Fractions (over Q) on demand.
+The product and Berkowitz's division-free characteristic polynomial serve
+Q and F_p alike.  One elimination serves each field: over Q fraction-free
+(Bareiss) elimination with exact back substitution, behind rank, rref,
+nullspace and the inverse (which runs it on F_p residues too); over F_p an
+incremental reduced echelon form on residues, behind rank, rref, nullspace
+and the flag oracle of :mod:`nilcones.enhanced`.  ``det`` is the
+field-generic reference.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import lcm
+from itertools import chain, combinations, product
+from math import gcd, lcm
 
 from .errors import (
+    CharTwo,
     InvariantViolation,
     NonSplitSpectrum,
     NotNilpotent,
@@ -31,168 +36,186 @@ from .fields import QQ, PrimeField
 from . import partitions
 
 
-@dataclass(frozen=True)
-class Vec:
-    field: object
-    entries: tuple
+def _lowest(field, rows, den=1):
+    """(num, den) for the values rows / den, from int rows and an int den
+    invertible in the field: residues and den 1 over F_p, lowest terms with
+    den > 0 over Q."""
+    p = field.char
+    if p:
+        if den == 1:
+            return tuple(tuple(e % p for e in row) for row in rows), 1
+        c = pow(den, -1, p)
+        return tuple(tuple(e * c % p for e in row) for row in rows), 1
+    rows = tuple(map(tuple, rows))
+    g = gcd(den, *chain.from_iterable(rows)) * (-1 if den < 0 else 1)
+    if g == 1:
+        return rows, den
+    return tuple(tuple(e // g for e in row) for row in rows), den // g
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.field.of(e) for e in self.entries))
+
+def _value(field, e, den):
+    return e if field.char else Fraction(e, den)
+
+
+@dataclass(frozen=True, init=False)
+class Vec:
+    """A vector stored as the int tuple num over one den (see :class:`Mat`)."""
+
+    field: object
+    num: tuple
+    den: int
+
+    def __init__(self, field, entries):
+        m = Mat(field, (entries,))
+        _store(self, field, m.num[0], m.den)
+
+    @classmethod
+    def _of(cls, field, num, den=1):
+        (num,), den = _lowest(field, (num,), den)
+        return _store(object.__new__(cls), field, num, den)
+
+    @property
+    def entries(self):
+        return tuple(_value(self.field, e, self.den) for e in self.num)
 
     @property
     def dim(self):
-        return len(self.entries)
+        return len(self.num)
 
     def is_zero(self):
-        return all(e == self.field.zero for e in self.entries)
-
-    def add(self, other):
-        _same_field(self, other)
-        if self.dim != other.dim:
-            raise SizeMismatch("vector dims differ")
-        f = self.field
-        return Vec(f, tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c):
-        f = self.field
-        c = f.of(c)
-        return Vec(f, tuple(f.mul(c, e) for e in self.entries))
+        return not any(self.num)
 
     @staticmethod
     def zero(field, n):
-        return Vec(field, (field.zero,) * n)
+        return _store(object.__new__(Vec), field, (0,) * n, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mat:
-    field: object
-    rows: tuple
+    """A matrix stored as int rows num over one common denominator den > 0,
+    as FLINT's fmpq_mat: over F_p den is 1 and num holds residues in [0, p);
+    over Q gcd(den, every num) = 1.  So each value has one representation,
+    and equality and hash compare (field, num, den).  ``rows`` and
+    ``entry`` build field scalars on demand."""
 
-    def __post_init__(self):
-        rows = tuple(tuple(self.field.of(e) for e in row) for row in self.rows)
+    field: object
+    num: tuple
+    den: int
+
+    def __init__(self, field, rows):
+        rows = tuple(tuple(map(field.of, row)) for row in rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise SizeMismatch("ragged rows")
-        object.__setattr__(self, "rows", rows)
+        den = 1
+        if not field.char:
+            den = lcm(*(e.denominator for row in rows for e in row))
+            rows = tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in rows)
+        _store(self, field, rows, den)
+
+    @classmethod
+    def _of(cls, field, rows, den=1):
+        """The matrix of values rows / den, for int rows and an int den."""
+        return _store(object.__new__(cls), field, *_lowest(field, rows, den))
+
+    @property
+    def rows(self):
+        f, d = self.field, self.den
+        return tuple(tuple(_value(f, e, d) for e in row) for row in self.num)
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.num)
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.num[0]) if self.num else 0
 
     def is_square(self):
         return self.nrows == self.ncols
 
     def is_zero(self):
-        z = self.field.zero
-        return all(e == z for row in self.rows for e in row)
+        return not any(map(any, self.num))
 
     def entry(self, i, j):
-        return self.rows[i][j]
+        return _value(self.field, self.num[i][j], self.den)
 
     def add(self, other):
-        _same_field(self, other)
-        _same_shape(self, other)
-        f = self.field
-        return Mat(f, tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, other.rows)))
+        return self._combine(other, 1)
 
     def sub(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other over the common denominator."""
         _same_field(self, other)
-        _same_shape(self, other)
-        f = self.field
-        return Mat(f, tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, other.rows)))
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise SizeMismatch("matrix shapes differ")
+        da, db = self.den, other.den
+        ka, kb, den = (1, sign, da) if da == db else (db, sign * da, da * db)
+        return Mat._of(self.field, ((ka * a + kb * b for a, b in zip(r1, r2))
+                                    for r1, r2 in zip(self.num, other.num)), den)
 
     def scale(self, c):
-        f = self.field
-        c = f.of(c)
-        return Mat(f, tuple(tuple(f.mul(c, e) for e in row) for row in self.rows))
+        cn, cd = self.field.of(c).as_integer_ratio()
+        return Mat._of(self.field, ((cn * e for e in row) for row in self.num), cd * self.den)
 
     def mul(self, other):
         _same_field(self, other)
         if self.ncols != other.nrows:
             raise SizeMismatch("inner dims differ")
-        f = self.field
-        a, da = _int_rows(f, self.rows)
-        b, db = _int_rows(f, other.rows)
-        d = da * db
-        cols = tuple(zip(*b))
-        return Mat(f, tuple(tuple(_from_int(f, sum(map(operator.mul, row, col)), d)
-                                  for col in cols) for row in a))
+        cols = tuple(zip(*other.num))
+        return Mat._of(self.field, [[sum(map(operator.mul, row, col)) for col in cols]
+                                    for row in self.num], self.den * other.den)
 
     def mul_vec(self, v):
         _same_field(self, v)
         if self.ncols != v.dim:
             raise SizeMismatch("matrix/vector dims differ")
-        f = self.field
-        a, da = _int_rows(f, self.rows)
-        (col,), dv = _int_rows(f, (v.entries,))
-        d = da * dv
-        return Vec(f, tuple(_from_int(f, sum(map(operator.mul, row, col)), d) for row in a))
+        return Vec._of(self.field, [sum(map(operator.mul, row, v.num)) for row in self.num],
+                       self.den * v.den)
 
     def transpose(self):
-        return Mat(self.field, tuple(zip(*self.rows)) if self.rows else ())
+        return _store(object.__new__(Mat), self.field, tuple(zip(*self.num)), self.den)
 
     @staticmethod
     def identity(field, n):
-        one, zero = field.one, field.zero
-        return Mat(field, tuple(tuple(one if i == j else zero for j in range(n))
-                                for i in range(n)))
+        return Mat._of(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zeros(field, m, n=None):
         n = m if n is None else n
-        return Mat(field, tuple((field.zero,) * n for _ in range(m)))
+        return _store(object.__new__(Mat), field, ((0,) * n,) * m, 1)
 
     @staticmethod
     def scalar(field, n, c):
-        c = field.of(c)
-        zero = field.zero
-        return Mat(field, tuple(tuple(c if i == j else zero for j in range(n))
-                                for i in range(n)))
+        cn, cd = field.of(c).as_integer_ratio()
+        return Mat._of(field, [[cn if i == j else 0 for j in range(n)] for i in range(n)], cd)
 
     @staticmethod
     def block_diag(field, blocks):
+        if any(b.field != field for b in blocks):
+            raise ValueError(f"field mismatch: blocks not all over {field}")
         n = sum(b.nrows for b in blocks)
-        rows = [[field.zero] * n for _ in range(n)]
-        off = 0
+        den = lcm(*(b.den for b in blocks))
+        rows, off = [], 0
         for b in blocks:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    rows[off + i][off + j] = field.of(b.rows[i][j])
+            k = den // b.den
+            rows += [(0,) * off + tuple(k * e for e in row) + (0,) * (n - off - b.ncols)
+                     for row in b.num]
             off += b.nrows
-        return Mat(field, tuple(tuple(r) for r in rows))
+        return _store(object.__new__(Mat), field, tuple(rows), den)
+
+
+def _store(obj, field, num, den):
+    object.__setattr__(obj, "field", field)
+    object.__setattr__(obj, "num", num)
+    object.__setattr__(obj, "den", den)
+    return obj
 
 
 def _same_field(a, b):
     if a.field != b.field:
         raise ValueError(f"field mismatch: {a.field} vs {b.field}")
-
-
-def _same_shape(a, b):
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise SizeMismatch("matrix shapes differ")
-
-
-def _int_rows(f, rows):
-    """(int rows, d) with rows = int rows / d.  Over Q, d is the least common
-    denominator; over F_p the residues are already ints and d = 1."""
-    if f.char:
-        return rows, 1
-    d = lcm(*{e.denominator for row in rows for e in row})
-    if d == 1:
-        return [[e.numerator for e in row] for row in rows], 1
-    return [[e.numerator * (d // e.denominator) for e in row] for row in rows], d
-
-
-def _from_int(f, a, d):
-    """The field element a / d, for ints a and d with d invertible in f."""
-    if f.char:
-        return a * pow(d, -1, f.p) % f.p
-    return Fraction(a, d)
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +321,26 @@ def _echelon(vectors, p, rows=()):
 
 
 def _reduced(m):
-    """(pivot, row) pairs of the nonzero rows of the reduced echelon form."""
-    f = m.field
-    if f.char:
-        return _echelon(m.rows, f.p)
-    a, _ = _int_rows(f, m.rows)
+    """((pivot, int row) pairs of the nonzero rows of d times the reduced
+    echelon form, d): d = 1 over F_p."""
+    if m.field.char:
+        return _echelon(m.num, m.field.char), 1
+    a = [list(row) for row in m.num]
     pivots, d = _bareiss(a)
     _back_substitute(a, pivots, d)
-    return [(c, tuple(Fraction(e, d) for e in row)) for c, row in zip(pivots, a)]
+    return list(zip(pivots, a)), d
 
 
-def _free_column_basis(ech, n, p):
-    """Right nullspace of the reduced echelon rows ech over F_p, or over Q
-    when p = 0: one vector per free column c, with 1 at c, minus column c
-    of ech at the pivots and 0 at the other free columns."""
+def _free_column_basis(ech, n, p, d=1):
+    """Right nullspace of the reduced echelon rows ech over F_p, or of d
+    times them over Q when p = 0: one vector per free column c, with d at c,
+    minus column c of ech at the pivots and 0 at the other free columns."""
     pivots = {piv for piv, _ in ech}
     basis = []
     for c in range(n):
         if c not in pivots:
             v = [0] * n
-            v[c] = 1
+            v[c] = d
             for piv, row in ech:
                 v[piv] = -row[c] % p if p else -row[c]
             basis.append(v)
@@ -328,23 +351,23 @@ def rank(m):
     """Row rank: the echelon kernel over F_p, Bareiss over Q."""
     f = m.field
     if f.char:
-        return len(_echelon(m.rows, f.p))
-    return len(_bareiss(_int_rows(f, m.rows)[0])[0])
+        return len(_echelon(m.num, f.char))
+    return len(_bareiss([list(row) for row in m.num])[0])
 
 
 def rref(m):
     """Reduced row echelon form; returns (Mat, pivot column tuple)."""
-    f = m.field
-    ech = _reduced(m)
-    zero = (f.zero,) * m.ncols
-    return (Mat(f, tuple(row for _, row in ech) + (zero,) * (m.nrows - len(ech))),
+    ech, d = _reduced(m)
+    zero = (0,) * m.ncols
+    return (Mat._of(m.field, [row for _, row in ech] + [zero] * (m.nrows - len(ech)), d),
             tuple(piv for piv, _ in ech))
 
 
 def nullspace(m):
     """Basis of the right nullspace, one Vec per free column."""
     f = m.field
-    return [Vec(f, tuple(v)) for v in _free_column_basis(_reduced(m), m.ncols, f.char)]
+    ech, d = _reduced(m)
+    return [Vec._of(f, v, d) for v in _free_column_basis(ech, m.ncols, f.char, d)]
 
 
 def inverse(m):
@@ -353,16 +376,14 @@ def inverse(m):
     ValueError when D is zero in the field."""
     if not m.is_square():
         raise SizeMismatch("inverse needs a square matrix")
-    f = m.field
-    n = m.nrows
-    a, d = _int_rows(f, m.rows)
-    a = [list(row) + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(a)]
+    f, n, d = m.field, m.nrows, m.den
+    a = [list(row) + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(m.num)]
     pivots, det_a = _bareiss(a)
     # singular over Z, or D = 0 mod p
-    if pivots != list(range(n)) or _from_int(f, det_a, 1) == f.zero:
+    if pivots != list(range(n)) or f.char and det_a % f.char == 0:
         raise ValueError("matrix is singular")
     _back_substitute(a, pivots, det_a)
-    return Mat(f, tuple(tuple(_from_int(f, d * e, det_a) for e in row[n:]) for row in a))
+    return Mat._of(f, ((d * e for e in row[n:]) for row in a), det_a)
 
 
 def det(m):
@@ -405,9 +426,7 @@ def _charpoly_monic(m):
     """
     if not m.is_square():
         raise SizeMismatch("charpoly needs a square matrix")
-    f = m.field
-    a, d = _int_rows(f, m.rows)
-    mul = operator.mul
+    a, d, mul = m.num, m.den, operator.mul
     p = [1]  # charpoly of the leading r x r block, highest degree first
     for r, row_r in enumerate(a):
         block = [row[:r] for row in a[:r]]
@@ -423,7 +442,9 @@ def _charpoly_monic(m):
         q += (-row_r[r], 1)
         # p times the lower-triangular Toeplitz matrix of q
         p = [sum(map(mul, q[k:], p)) for k in range(r + 1, -1, -1)]
-    return tuple(_from_int(f, c, d ** k) for k, c in enumerate(p))
+    if m.field.char:
+        return tuple(c % m.field.char for c in p)
+    return tuple(Fraction(c, d ** k) for k, c in enumerate(p))
 
 
 def charpoly(m):
@@ -438,7 +459,7 @@ def _power_ranks(x, w=()):
     NotNilpotent if x^n still has positive rank there."""
     n = x.nrows
     xt = x.transpose()  # the rows of (x^T)^i are the columns of x^i
-    w_rows = tuple(u.entries for u in w)
+    w_rows = tuple(u.num for u in w)
     ranks = [n - len(w)]
     power = xt
     while ranks[-1]:
@@ -446,8 +467,8 @@ def _power_ranks(x, w=()):
             raise NotNilpotent("matrix is not nilpotent")
         if len(ranks) > 1:
             power = power.mul(xt)
-        stacked = Mat(x.field, power.rows + w_rows) if w else power
-        ranks.append(rank(stacked) - len(w))
+        # scaling a row keeps the rank, so the rows stack with no common denominator
+        ranks.append(rank(Mat._of(x.field, power.num + w_rows)) - len(w))
     return ranks
 
 
@@ -506,21 +527,21 @@ def stabilizer_system(v, x):
     n = x.nrows
     if not x.is_square() or v.dim != n:
         raise SizeMismatch("need x square and v of matching dim")
-    f = x.field
-    zero = f.zero
+    # the v rows over v.den x.den scale by x.den, the x rows by v.den
+    a, dv, dx = x.num, v.den, x.den
     eqs = []
     for i in range(n):
-        row = [zero] * (n * n)
-        row[i * n:(i + 1) * n] = v.entries
-        eqs.append(tuple(row))
+        row = [0] * (n * n)
+        row[i * n:(i + 1) * n] = (dx * e for e in v.num)
+        eqs.append(row)
     for i in range(n):
         for j in range(n):
-            row = [zero] * (n * n)
+            row = [0] * (n * n)
             for k in range(n):
-                row[i * n + k] = f.add(row[i * n + k], x.entry(k, j))
-                row[k * n + j] = f.sub(row[k * n + j], x.entry(i, k))
-            eqs.append(tuple(row))
-    return Mat(f, tuple(eqs))
+                row[i * n + k] += dv * a[k][j]
+                row[k * n + j] -= dv * a[i][k]
+            eqs.append(row)
+    return Mat._of(x.field, eqs, dv * dx)
 
 
 def stabilizer_dim_gl(v, x):
@@ -530,31 +551,20 @@ def stabilizer_dim_gl(v, x):
 
 def omega_matrix(field, n):
     """The fixed symplectic form [[0, I], [-I, 0]] on k^{2n}."""
-    zero, one = field.zero, field.one
-    rows = []
-    for i in range(2 * n):
-        row = [zero] * (2 * n)
-        if i < n:
-            row[n + i] = one
-        else:
-            row[i - n] = field.neg(one)
-        rows.append(tuple(row))
-    return Mat(field, tuple(rows))
+    return Mat._of(field, [[(j == n + i) - (i == n + j) for j in range(2 * n)]
+                           for i in range(2 * n)])
 
 
 def has_wedge_block_form(x):
     """Block test [[A, B], [C, tA]] with B, C skew-symmetric."""
     if not x.is_square() or x.nrows % 2:
         return False
-    n = x.nrows // 2
-    f = x.field
+    n, a, p = x.nrows // 2, x.num, x.field.char
+    # on residues in [0, p), b = -c iff b + c is 0 or p (p = 0 over Q)
     for i in range(n):
         for j in range(n):
-            if x.entry(n + i, n + j) != x.entry(j, i):
-                return False
-            if x.entry(i, n + j) != f.neg(x.entry(j, n + i)):
-                return False
-            if x.entry(n + i, j) != f.neg(x.entry(n + j, i)):
+            if (a[n + i][n + j] != a[j][i] or a[i][n + j] + a[j][n + i] not in (0, p)
+                    or a[n + i][j] + a[n + j][i] not in (0, p)):
                 return False
     return True
 
@@ -568,8 +578,6 @@ def stabilizer_dim_sp(v, x):
     """
     _same_field(v, x)
     if x.field.char == 2:
-        from .errors import CharTwo
-
         raise CharTwo("symplectic stabilizers need characteristic != 2")
     if not x.is_square() or x.nrows % 2:
         raise SizeMismatch("need a 2n x 2n matrix")
@@ -579,19 +587,18 @@ def stabilizer_dim_sp(v, x):
     if v.dim != d:
         raise SizeMismatch("vector dim must be 2n")
     f = x.field
-    zero = f.zero
-    omega = omega_matrix(f, d // 2)
+    omega = omega_matrix(f, d // 2).num
     eqs = []
     for i in range(d):
         for j in range(d):
-            row = [zero] * (d * d)
+            row = [0] * (d * d)
             for k in range(d):
                 # (tA Omega)_{ij} = sum_k A_{ki} Omega_{kj}
-                row[k * d + i] = f.add(row[k * d + i], omega.entry(k, j))
+                row[k * d + i] += omega[k][j]
                 # (Omega A)_{ij} = sum_k Omega_{ik} A_{kj}
-                row[k * d + j] = f.add(row[k * d + j], omega.entry(i, k))
-            eqs.append(tuple(row))
-    return d * d - rank(Mat(f, stabilizer_system(v, x).rows + tuple(eqs)))
+                row[k * d + j] += omega[i][k]
+            eqs.append(row)
+    return d * d - rank(Mat._of(f, stabilizer_system(v, x).num + tuple(eqs)))
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +773,7 @@ def jordan_chevalley_split(x):
     diag = Mat.block_diag(f, [Mat.scalar(f, m, a) for a, m in eig])
     xs = p.mul(diag).mul(p_inv)
     xn = x.sub(xs)
-    if xs.mul(xn).rows != xn.mul(xs).rows:
+    if xs.mul(xn) != xn.mul(xs):
         raise InvariantViolation("x_s and x_n do not commute")
     return xs, xn
 
@@ -782,24 +789,21 @@ def limit_along_cocharacter(weights, v, x):
     n = v.dim
     if len(weights) != n or x.nrows != n or x.ncols != n:
         raise SizeMismatch("weights/vector/matrix dims differ")
-    f = v.field
-    zero = f.zero
     new_v = []
-    for i, e in enumerate(v.entries):
-        if e != zero and weights[i] < 0:
+    for i, e in enumerate(v.num):
+        if e and weights[i] < 0:
             return None
-        new_v.append(e if weights[i] == 0 else zero)
+        new_v.append(e if weights[i] == 0 else 0)
     new_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = x.entry(i, j)
+    for i, row in enumerate(x.num):
+        new_row = []
+        for j, e in enumerate(row):
             w = weights[i] - weights[j]
-            if e != zero and w < 0:
+            if e and w < 0:
                 return None
-            row.append(e if w == 0 else zero)
-        new_rows.append(tuple(row))
-    return Vec(f, tuple(new_v)), Mat(f, tuple(new_rows))
+            new_row.append(e if w == 0 else 0)
+        new_rows.append(new_row)
+    return Vec._of(v.field, new_v, v.den), Mat._of(x.field, new_rows, x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -821,33 +825,26 @@ def random_gl(n, rng, steps=None):
     if rng.random() < 0.5 and n:
         k = rng.randrange(n)
         rows[k] = [-e for e in rows[k]]
-    return Mat(QQ, tuple(tuple(r) for r in rows))
+    return Mat._of(QQ, rows)
 
 
 def random_sp(n, rng, steps=3):
     """A random element of Sp_2n(Q): a product of diag(g, tg^{-1}) blocks
     and unipotent upper/lower blocks with symmetric off-diagonal part."""
-    f = QQ
-    total = Mat.identity(f, 2 * n)
+    total = Mat.identity(QQ, 2 * n)
     for _ in range(steps):
         kind = rng.randrange(3)
         if kind == 0:
             g = random_gl(n, rng)
-            elem = Mat.block_diag(f, (g, inverse(g).transpose()))
+            elem = Mat.block_diag(QQ, (g, inverse(g).transpose()))
         else:
-            b = [[f.zero] * n for _ in range(n)]
+            b = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
-                    c = f.of(rng.randint(-2, 2))
-                    b[i][j] = c
-                    b[j][i] = c
-            rows = []
-            for i in range(n):
-                top = [f.one if i == j else f.zero for j in range(n)]
-                rows.append(tuple(top) + tuple(b[i] if kind == 1 else [f.zero] * n))
-            for i in range(n):
-                bot = [f.one if i == j else f.zero for j in range(n)]
-                rows.append(tuple(b[i] if kind == 2 else [f.zero] * n) + tuple(bot))
-            elem = Mat(f, tuple(rows))
+                    b[i][j] = b[j][i] = rng.randint(-2, 2)
+            one, zero = Mat.identity(QQ, n).num, ((0,) * n,) * n
+            top, bot = (b, zero) if kind == 1 else (zero, b)
+            elem = Mat._of(QQ, [[*one[i], *top[i]] for i in range(n)]
+                           + [[*bot[i], *one[i]] for i in range(n)])
         total = total.mul(elem)
     return total

@@ -427,9 +427,8 @@ def suite_jkv(seed=DEFAULT_SEED):
 
     def commutes_with(a_flat, s):
         n = s.nrows
-        a = Mat(f, tuple(tuple(a_flat.entries[i * n + j] for j in range(n))
-                         for i in range(n)))
-        return a.mul(s).rows == s.mul(a).rows
+        a = Mat(f, (a_flat.entries[i * n:(i + 1) * n] for i in range(n)))
+        return a.mul(s) == s.mul(a)
 
     def semisimple_at_label_level(matrix):
         # closed-orbit criterion: the pair (0, matrix) is semisimple exactly

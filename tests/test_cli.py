@@ -150,6 +150,15 @@ def test_cmd_identify_errors(capsys, tmp_path):
     path.write_text(json.dumps({"n": 1, "module": "enhanced", "field": "Q",
                                 "v": [0.5], "x": [["0"]]}))
     assert main(["identify", "--file", str(path)]) == 2
+    # v, x and the rows of x must be JSON lists: a string is not read one
+    # character at a time (this document once printed (1;1) and exited 0)
+    doc = {"n": 2, "module": "enhanced", "field": "Q", "v": "10", "x": ["01", "00"]}
+    path.write_text(json.dumps(doc))
+    assert main(["identify", "--file", str(path), "--level", "orbit"]) == 2
+    for bad in ({**doc, "v": ["1", "0"]}, {**doc, "x": "0100"},
+                {**doc, "v": {"0": "1"}, "x": [["0", "1"], ["0", "0"]]}):
+        with pytest.raises(ParseError):
+            parse_element_document(bad)
     capsys.readouterr()
 
 

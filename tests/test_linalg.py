@@ -3,6 +3,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from nilcones.linalg import (
     det,
     echelon_patterns,
     gaussian_binomial,
+    has_wedge_block_form,
     inverse,
     jordan_chevalley_split,
     jordan_type_nilpotent,
@@ -672,3 +674,148 @@ def test_kernels_match_baseline_gauss_jordan():
                 inverted += 1
     # both branches of inverse are exercised on every run
     assert inverted > 100 and singular > 100
+
+
+def seeded_rows(rng, field, m, n, zeros=0.3):
+    """An m x n matrix as rows of ints or Fractions: over Q with
+    denominators up to 7, over F_p ints off by multiples of p, some zero."""
+    if field == QQ:
+        def entry():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    else:
+        def entry():
+            return rng.randint(-field.p, 2 * field.p)
+    return tuple(tuple(entry() if rng.random() >= zeros else 0 for _ in range(n))
+                 for _ in range(m))
+
+
+def wedge_rows(rng, field, n):
+    """Rows of [[A, B], [C, tA]] with B, C skew, one entry spoilt at times."""
+    a = seeded_rows(rng, field, n, n)
+    skew = []
+    for _ in range(2):
+        s = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                s[i][j] = field.of(seeded_rows(rng, field, 1, 1)[0][0])
+                s[j][i] = field.neg(s[i][j])
+        skew.append(s)
+    rows = [list(a[i]) + skew[0][i] for i in range(n)]
+    rows += [skew[1][i] + [a[j][i] for j in range(n)] for i in range(n)]
+    if rng.random() < 0.4:
+        i, j = rng.randrange(2 * n), rng.randrange(2 * n)
+        rows[i][j] = field.add(field.of(rows[i][j]), field.one)
+    return tuple(map(tuple, rows))
+
+
+def test_mat_ops_match_baseline():
+    base = baseline_linalg()
+    bf = sys.modules["nilcones_baseline.fields"]
+    fields = ((QQ, bf.QQ), (GF(2), bf.GF(2)), (GF(3), bf.GF(3)), (GF(7), bf.GF(7)))
+    rng = random.Random(2026)
+    inverted = singular = wedges = 0
+    for field, bfield in fields:
+        for _ in range(120):
+            m, k, n = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)
+            ra, rb = seeded_rows(rng, field, m, k), seeded_rows(rng, field, m, k)
+            rc, rv = seeded_rows(rng, field, k, n), seeded_rows(rng, field, 1, k)[0]
+            a, b, c = (Mat(field, r) for r in (ra, rb, rc))
+            ba, bb, bc = (base.Mat(bfield, r) for r in (ra, rb, rc))
+            assert a.add(b).rows == ba.add(bb).rows
+            assert a.sub(b).rows == ba.sub(bb).rows
+            assert a.transpose().rows == ba.transpose().rows
+            assert a.mul(c).rows == ba.mul(bc).rows
+            assert a.mul_vec(Vec(field, rv)).entries == ba.mul_vec(base.Vec(bfield, rv)).entries
+            s = seeded_rows(rng, field, 1, 1, zeros=0.1)[0][0]
+            assert a.scale(s).rows == ba.scale(s).rows
+            assert Mat.scalar(field, n, s).rows == base.Mat.scalar(bfield, n, s).rows
+            sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+            blocks = [seeded_rows(rng, field, d, d) for d in sizes]
+            assert (Mat.block_diag(field, [Mat(field, r) for r in blocks]).rows
+                    == base.Mat.block_diag(bfield, [base.Mat(bfield, r) for r in blocks]).rows)
+            w = wedge_rows(rng, field, rng.randint(1, 4))
+            ours = has_wedge_block_form(Mat(field, w))
+            assert ours == base.has_wedge_block_form(base.Mat(bfield, w))
+            wedges += ours
+            rs = seeded_rows(rng, field, n, n)
+            if n > 2 and rng.random() < 0.3:  # a row sum: singular over every field
+                rs = rs[:-1] + (tuple(x + y for x, y in zip(rs[0], rs[1])),)
+            sq, bsq = Mat(field, rs), base.Mat(bfield, rs)
+            assert charpoly(sq) == base.charpoly(bsq)
+            try:
+                expected = base.inverse(bsq).rows
+            except ValueError:
+                with pytest.raises(ValueError):
+                    inverse(sq)
+                singular += 1
+                continue
+            assert inverse(sq).rows == expected
+            inverted += 1
+    assert inverted > 100 and singular > 50 and wedges > 50
+
+
+def test_random_group_elements_match_baseline():
+    base = baseline_linalg()
+    for n in range(1, 7):
+        for s in range(50):
+            assert random_gl(n, random.Random(s)).rows == base.random_gl(n, random.Random(s)).rows
+            assert random_sp(n, random.Random(s)).rows == base.random_sp(n, random.Random(s)).rows
+
+
+@st.composite
+def spelled_matrices(draw):
+    """(values, respelled, other): the rows of a matrix over Q or F_p, the
+    same values spelled otherwise (text, unreduced fractions and ints over
+    Q; ints off by multiples of p, negative ones too, over F_p), and
+    another matrix of that shape."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    values = tuple(tuple(draw(kernel_entries(field)) for _ in range(n)) for _ in range(m))
+
+    def respell(e):
+        if field == QQ:
+            k = draw(st.integers(1, 3))
+            spellings = [f"{e.numerator * k}/{e.denominator * k}", Fraction(e)]
+            if e.denominator == 1:
+                spellings.append(e.numerator)
+            return draw(st.sampled_from(spellings))
+        return e + draw(st.integers(-3, 3)) * field.p
+
+    respelled = tuple(tuple(respell(e) for e in row) for row in values)
+    other = tuple(tuple(draw(kernel_entries(field)) for _ in range(n)) for _ in range(m))
+    return field, values, respelled, other
+
+
+def assert_normalised(obj):
+    flat = [e for row in obj.num for e in row] if isinstance(obj, Mat) else list(obj.num)
+    assert obj.den > 0
+    if obj.field == QQ:
+        assert gcd(obj.den, *flat) == 1
+    else:
+        assert obj.den == 1 and all(0 <= e < obj.field.p for e in flat)
+
+
+@given(spelled_matrices())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_normalised_representation(data):
+    field, values, respelled, other = data
+    a, b, c = Mat(field, values), Mat(field, respelled), Mat(field, other)
+    # equality and hash agree with entry-by-entry equality
+    assert a == b and hash(a) == hash(b) and a.rows == b.rows
+    assert (a == c) == (a.rows == c.rows)
+    if values:
+        va, vb = Vec(field, values[0]), Vec(field, respelled[0])
+        assert va == vb and hash(va) == hash(vb) and va.entries == vb.entries
+        assert (va == Vec(field, other[0])) == (va.entries == other[0])
+        assert_normalised(va)
+        assert_normalised(a.mul_vec(va))
+    if field.char != 2:
+        assert a.scale(Fraction(-1, 2)).scale(-2) == a
+    prod = a.mul(c.transpose())
+    built = Mat(field, naive_product(a, c.transpose()))
+    assert prod == built and hash(prod) == hash(built)
+    for m in (a, b, prod, a.sub(b), a.add(c), a.scale(Fraction(3, 1)), a.transpose()):
+        assert_normalised(m)
+    # the same entries over another field are another matrix
+    ints = tuple(tuple(e.numerator for e in row) for row in values) if field == QQ else values
+    assert Mat(QQ, ints) != Mat(GF(7), ints) and Mat(GF(3), ints) != Mat(GF(7), ints)
