@@ -12,21 +12,25 @@ part of the enhanced one while keeping the central part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import cached_property
+from itertools import chain, combinations_with_replacement, product
 from math import comb
+from operator import add
 
 from .errors import BudgetExceeded, InvariantViolation, NotDoubled, RepeatedEigenvalue, SizeMismatch
 from .fields import QQ
 from .linalg import Mat, Vec, generalized_eigenbasis
 from .enhanced import EnhancedElement, build_representative, identify_orbit, orbit_dim
 from .partitions import (
-    ah_closure_leq,
+    _prefix_sums,
+    _sums_leq,
     check_partition,
     enumerate_bipartitions,
     format_bipartition,
     halve,
     order_key,
     part_runs,
+    partitions_of,
     positive_parts,
     sum_bipartitions,
 )
@@ -57,9 +61,25 @@ class ClassLabel:
         object.__setattr__(self, "lam", check_partition(p for p, _ in pairs))
         object.__setattr__(self, "blocks", tuple(b for _, b in pairs))
 
+    @classmethod
+    def _of(cls, lam, blocks):
+        """The label of lam and blocks that are already in canonical form,
+        as :func:`enumerate_classes` builds them."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "lam", lam)
+        object.__setattr__(c, "blocks", blocks)
+        return c
+
     @property
     def n(self):
         return sum(self.lam)
+
+    @cached_property
+    def _part_sums(self):
+        """(part, prefix sums of its block padded to length 2n) per part;
+        computed on first use and kept on the label."""
+        length = 2 * self.n
+        return [(p, _prefix_sums(b, length)) for p, b in zip(self.lam, self.blocks)]
 
     def __str__(self):
         return format_class_label(self)
@@ -75,27 +95,20 @@ def enumerate_classes(n):
     """Every canonical class label of size n, deterministically ordered."""
     if n > CLASS_BUDGET_N:
         raise BudgetExceeded(f"class enumeration capped at n <= {CLASS_BUDGET_N}")
-    from .partitions import partitions_of
-
+    labels = {m: enumerate_bipartitions(m) for m in range(1, n + 1)}
     out = []
     for lam in sorted(partitions_of(n), key=lambda t: (len(t), t)):
-        per_run_choices = []
-        for value, count in part_runs(lam):
-            labels = sorted(enumerate_bipartitions(value), key=order_key)
-            per_run_choices.append(list(combinations_with_replacement(labels, count)))
-        def assemble(idx, acc):
-            if idx == len(per_run_choices):
-                out.append(ClassLabel(lam, tuple(acc)))
-                return
-            for choice in per_run_choices[idx]:
-                assemble(idx + 1, acc + list(choice))
-        assemble(0, [])
+        # each run of equal parts takes its blocks in the fixed total order
+        runs = [combinations_with_replacement(labels[value], count)
+                for value, count in part_runs(lam)]
+        out.extend(ClassLabel._of(lam, tuple(chain.from_iterable(choice)))
+                   for choice in product(*runs))
     return out
 
 
 def class_count_formula(n):
     """Multiset count: sum over lam of prod_i C(|Q_i| + d_i - 1, d_i)."""
-    from .partitions import multiplicity, partitions_of
+    from .partitions import multiplicity
 
     q_sizes = {}
     total = 0
@@ -229,7 +242,9 @@ def class_closure_leq(c1, c2):
     """Candidate closure order on classes: c1 below c2 when the parts of
     lam(c2) can be merged onto the parts of lam(c1) (sums respected) so
     that every part of c1 dominates, in the orbit closure order, the orbit
-    induced from the blocks merged into it.
+    induced from the blocks merged into it.  The search compares padded
+    interleaved prefix sums entrywise (see :func:`merge_exists`), which is
+    :func:`nilcones.partitions.ah_closure_leq` on every part.
 
     On nilpotent classes (lam = (n)) this is the orbit closure order; on
     classes of equal orbit dimension it reproduces the dense-sheet
@@ -239,38 +254,44 @@ def class_closure_leq(c1, c2):
     """
     if c1.n != c2.n:
         raise SizeMismatch("labels have different sizes")
-    return merge_exists(c1, c2, ah_closure_leq)
+    return merge_exists(c1, c2, _sums_leq)
 
 
 def merge_exists(c1, c2, accept):
     """True iff the parts of lam(c2) can be merged onto the parts of lam(c1)
-    (sums respected) so that ``accept(block, induced)`` holds for every part
-    of c1, where induced is the sum of the c2 blocks merged into it.
+    (sums respected) so that ``accept(target, induced)`` holds for every
+    part of c1.  Both arguments are interleaved prefix sums padded to
+    length 2n: target those of the part's block, induced those of the
+    orbit induced from the c2 blocks merged into it, which is their
+    entrywise sum.  Padded prefix sums determine the label, so
+    ``operator.eq`` asks for the induced label itself.
 
-    A backtracking search; targets in the same state are tried once.
+    A backtracking search that places the c2 parts in turn.  Two parts
+    of c1 with the same target and the same sum held so far (so the same
+    room left) lead to the same searches, so only the first is tried; a
+    key without the held sum would skip merges that exist.
     """
-    items = list(zip(c2.lam, c2.blocks))
-    targets = list(zip(c1.lam, c1.blocks))
-    remaining = [p for p, _ in targets]
-    assigned = [[] for _ in targets]
+    items = c2._part_sums
+    targets = c1._part_sums
+    room = [p for p, _ in targets]
+    held = [(0,) * len(s) for _, s in targets]
 
     def feasible(idx):
         if idx == len(items):
-            return all(r == 0 for r in remaining)
-        size, block = items[idx]
+            return not any(room)
+        size, sums = items[idx]
         seen = set()
-        for t in range(len(targets)):
-            state = (remaining[t], targets[t])
-            if state in seen or remaining[t] < size:
+        for t, (_, target) in enumerate(targets):
+            before = held[t]
+            if room[t] < size or (target, before) in seen:
                 continue
-            seen.add(state)
-            remaining[t] -= size
-            assigned[t].append(block)
-            ok = remaining[t] > 0 or accept(targets[t][1], sum_bipartitions(assigned[t]))
-            if ok and feasible(idx + 1):
+            seen.add((target, before))
+            room[t] -= size
+            held[t] = tuple(map(add, before, sums))
+            if (room[t] or accept(target, held[t])) and feasible(idx + 1):
                 return True
-            remaining[t] += size
-            assigned[t].pop()
+            room[t] += size
+            held[t] = before
         return False
 
     return feasible(0)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from operator import index
+from operator import index, le
 
 from .errors import BudgetExceeded, InvariantViolation, ParseError, SizeMismatch
 
@@ -111,6 +111,15 @@ class Bipartition:
         object.__setattr__(self, "mu", check_partition(self.mu))
         object.__setattr__(self, "nu", check_partition(self.nu))
 
+    @classmethod
+    def _of(cls, mu, nu):
+        """(mu; nu) from partition tuples of ints that are already
+        canonical, as the enumeration and the block sum build them."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "mu", mu)
+        object.__setattr__(b, "nu", nu)
+        return b
+
     @property
     def n(self):
         return sum(self.mu) + sum(self.nu)
@@ -126,7 +135,7 @@ def sum_bipartitions(blocks):
     for b in blocks:
         mu = add(mu, b.mu)
         nu = add(nu, b.nu)
-    return Bipartition(mu, nu)
+    return Bipartition._of(mu, nu)
 
 
 def order_key(b):
@@ -164,7 +173,7 @@ def enumerate_bipartitions(n):
     if n < 0:
         return []
     out = [
-        Bipartition(mu, nu)
+        Bipartition._of(mu, nu)
         for s in range(n, -1, -1)
         for mu in partitions_of(s)
         for nu in partitions_of(n - s)
@@ -173,16 +182,22 @@ def enumerate_bipartitions(n):
     return out
 
 
-def _interleaved_prefix_sums(b):
-    """Prefix sums of the interleaved sequence mu_1, nu_1, mu_2, nu_2, ..."""
-    length = max(len(b.mu), len(b.nu))
+def _prefix_sums(b, length):
+    """Prefix sums of the interleaved sequence mu_1, nu_1, mu_2, nu_2, ...,
+    padded with |b| to ``length`` >= 2 max(l(mu), l(nu)).  They add: the
+    sums of a part-wise block sum are the entrywise sums of the blocks'."""
     sums, acc = [], 0
-    for i in range(length):
+    for i in range(length // 2):
         acc += b.mu[i] if i < len(b.mu) else 0
         sums.append(acc)
         acc += b.nu[i] if i < len(b.nu) else 0
         sums.append(acc)
-    return sums
+    return tuple(sums)
+
+
+def _sums_leq(s1, s2):
+    """The closure order on prefix sums of one length: entrywise <=."""
+    return all(map(le, s1, s2))
 
 
 def ah_closure_leq(b1, b2):
@@ -193,18 +208,10 @@ def ah_closure_leq(b1, b2):
     group-sweep oracles (see nilcones.enhanced) for every pair at small n;
     the library treats that agreement as the rule's certificate.
     """
-    if b1.n != b2.n:
-        raise SizeMismatch(f"sizes differ: {b1.n} != {b2.n}")
-    s1 = _interleaved_prefix_sums(b1)
-    s2 = _interleaved_prefix_sums(b2)
-    length = max(len(s1), len(s2))
-    total = b1.n
-    for i in range(length):
-        a = s1[i] if i < len(s1) else total
-        c = s2[i] if i < len(s2) else total
-        if a > c:
-            return False
-    return True
+    n = b1.n
+    if n != b2.n:
+        raise SizeMismatch(f"sizes differ: {n} != {b2.n}")
+    return _sums_leq(_prefix_sums(b1, 2 * n), _prefix_sums(b2, 2 * n))
 
 
 # ---------------------------------------------------------------------------

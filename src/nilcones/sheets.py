@@ -44,7 +44,7 @@ from .partitions import (
 )
 
 SHEET_BUDGET_N = 20
-MAXIMALITY_BUDGET_N = 6
+MAXIMALITY_BUDGET_N = 7
 
 VEC = "VEC"
 ZERO = "ZERO"

@@ -1,11 +1,22 @@
+import operator
 import random
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
 from nilcones.errors import NonSplitSpectrum, RepeatedEigenvalue, SizeMismatch
 from nilcones.fields import GF, QQ
 from nilcones.linalg import Mat, Vec, inverse, random_gl, random_sp
-from nilcones.partitions import Bipartition, double, enumerate_bipartitions
+from nilcones.partitions import (
+    Bipartition,
+    _prefix_sums,
+    _sums_leq,
+    ah_closure_leq,
+    double,
+    enumerate_bipartitions,
+    sum_bipartitions,
+)
 from nilcones.enhanced import EnhancedElement, act, build_representative, orbit_dim
 from nilcones.exotic import ExoticElement, embed_phi
 from nilcones.jordan_classes import (
@@ -21,6 +32,7 @@ from nilcones.jordan_classes import (
     format_class_label,
     identify_class,
     identify_exotic_class,
+    merge_exists,
 )
 
 B = Bipartition
@@ -212,3 +224,100 @@ def test_orbit_dim_of_class():
 def test_format():
     c = ClassLabel((3, 2, 2), (B((1, 1, 1), ()), B((2,), ()), B((1,), (1,))))
     assert format_class_label(c) == "λ=[3,2,2]; blocks=[(1^3;),(2;),(1;1)]"
+
+
+# ---------------------------------------------------------------------------
+# the merge search against an exhaustive one, and the internal constructors
+# against the public ones and the pinned benchmark baseline
+# ---------------------------------------------------------------------------
+
+
+def test_merge_onto_equal_parts_filled_alike():
+    # two equal targets, each half filled: the search must still try the
+    # second one, or it misses the merge {(1^2;),(;1)}, {(;1^2),(1;)}
+    c1 = ClassLabel((3, 3), (B((1, 1, 1), ()), B((1, 1, 1), ())))
+    c2 = ClassLabel((2, 2, 1, 1), (B((1, 1), ()), B((), (1, 1)), B((1,), ()), B((), (1,))))
+    assert class_closure_leq(c1, c2)
+
+
+def _groupings(items):
+    """Every split of the list items into nonempty groups."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for groups in _groupings(rest):
+        yield [[first]] + groups
+        for i in range(len(groups)):
+            yield groups[:i] + [[first] + groups[i]] + groups[i + 1:]
+
+
+def _merges(c):
+    """Every merge of the parts of c: sorted parts lam -> the set of
+    merges onto lam, each the tuple of (size, induced label) per group."""
+    key = lambda t: (t[0], t[1].mu, t[1].nu)
+    out = {}
+    for groups in _groupings(list(zip(c.lam, c.blocks))):
+        merged = tuple(sorted(((sum(p for p, _ in g), sum_bipartitions([b for _, b in g]))
+                               for g in groups), key=key))
+        out.setdefault(tuple(sorted((p for p, _ in merged), reverse=True)), set()).add(merged)
+    return out
+
+
+def _exhaustive(c1, merges2, orbit_leq):
+    """(closure rule, equality merge) of c1 against c2 by trying every
+    merge of c2 in every assignment to the parts of c1."""
+    targets = list(zip(c1.lam, c1.blocks))
+    own = tuple(sorted(targets, key=lambda t: (t[0], t[1].mu, t[1].nu)))
+    candidates = merges2.get(c1.lam, ())
+    leq = any(all(p == q and orbit_leq(b, induced)
+                  for (p, b), (q, induced) in zip(targets, order))
+              for merged in candidates for order in permutations(merged))
+    return leq, own in candidates
+
+
+def test_merge_search_matches_exhaustive_search():
+    classes = {n: enumerate_classes(n) for n in range(1, 7)}
+    pairs = [(c1, c2) for n in range(1, 6) for c1 in classes[n] for c2 in classes[n]]
+    pairs += [(c1, c2) for c1 in classes[6] if c1.lam == (3, 3) for c2 in classes[6]]
+    merges = {}
+    orbit_leq = lru_cache(maxsize=None)(ah_closure_leq)
+    for c1, c2 in pairs:
+        if c2 not in merges:
+            merges[c2] = _merges(c2)
+        leq, eq = _exhaustive(c1, merges[c2], orbit_leq)
+        assert class_closure_leq(c1, c2) == leq, (str(c1), str(c2))
+        assert merge_exists(c1, c2, operator.eq) == eq, (str(c1), str(c2))
+
+
+def test_internal_constructors_match_public_ones():
+    for n in range(9):
+        for b in enumerate_bipartitions(n):
+            rebuilt = Bipartition(b.mu, b.nu)
+            assert b == rebuilt and hash(b) == hash(rebuilt)
+        for c in enumerate_classes(n):
+            rebuilt = ClassLabel(c.lam, tuple(Bipartition(b.mu, b.nu) for b in c.blocks))
+            assert c == rebuilt and hash(c) == hash(rebuilt)
+            total = sum_bipartitions(c.blocks)
+            rebuilt = Bipartition(total.mu, total.nu)
+            assert total == rebuilt and hash(total) == hash(rebuilt)
+
+
+def test_prefix_sums_injective_and_ordered_like_baseline(baseline):
+    for n in range(9):
+        labels = enumerate_bipartitions(n)
+        # padded further than the label needs, as in a class of larger size
+        sums = [_prefix_sums(b, 2 * n + 4) for b in labels]
+        assert len(set(sums)) == len(labels)
+        if n > 7:
+            continue
+        old = [baseline.partitions.Bipartition(b.mu, b.nu) for b in labels]
+        for s1, b1 in zip(sums, old):
+            for s2, b2 in zip(sums, old):
+                assert _sums_leq(s1, s2) == baseline.partitions.ah_closure_leq(b1, b2)
+
+
+def test_enumerate_classes_matches_baseline(baseline):
+    for n in range(9):
+        assert ([str(c) for c in enumerate_classes(n)]
+                == [str(c) for c in baseline.jordan_classes.enumerate_classes(n)])

@@ -1,7 +1,4 @@
-import importlib
-import os
 import random
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -607,16 +604,6 @@ def test_jordan_chevalley_prime_field_repeated_eigenvalues():
         assert power.is_zero()
 
 
-def baseline_linalg():
-    """The pinned field-generic Gauss-Jordan kernels of perfbench/baseline,
-    imported read-only as a reference."""
-    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "baseline")
-    if root not in sys.path:
-        sys.path.append(root)
-    return importlib.import_module("nilcones_baseline.linalg")
-
-
 def differential_rows(rng, field, m, n):
     """An m x n int or Fraction matrix with zero rows, dependent rows, free
     columns left of pivots and denominators over Q."""
@@ -642,9 +629,8 @@ def differential_rows(rng, field, m, n):
     return rows
 
 
-def test_kernels_match_baseline_gauss_jordan():
-    base = baseline_linalg()
-    bf = sys.modules["nilcones_baseline.fields"]
+def test_kernels_match_baseline_gauss_jordan(baseline):
+    base, bf = baseline.linalg, baseline.fields
     fields = ((QQ, bf.QQ), (GF(2), bf.GF(2)), (GF(3), bf.GF(3)), (GF(7), bf.GF(7)))
     rng = random.Random(2024)
     shapes = [(0, 0)] + [(m, n) for m in range(1, 10) for n in range(1, 10)]
@@ -708,9 +694,8 @@ def wedge_rows(rng, field, n):
     return tuple(map(tuple, rows))
 
 
-def test_mat_ops_match_baseline():
-    base = baseline_linalg()
-    bf = sys.modules["nilcones_baseline.fields"]
+def test_mat_ops_match_baseline(baseline):
+    base, bf = baseline.linalg, baseline.fields
     fields = ((QQ, bf.QQ), (GF(2), bf.GF(2)), (GF(3), bf.GF(3)), (GF(7), bf.GF(7)))
     rng = random.Random(2026)
     inverted = singular = wedges = 0
@@ -754,8 +739,8 @@ def test_mat_ops_match_baseline():
     assert inverted > 100 and singular > 50 and wedges > 50
 
 
-def test_random_group_elements_match_baseline():
-    base = baseline_linalg()
+def test_random_group_elements_match_baseline(baseline):
+    base = baseline.linalg
     for n in range(1, 7):
         for s in range(50):
             assert random_gl(n, random.Random(s)).rows == base.random_gl(n, random.Random(s)).rows

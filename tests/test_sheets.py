@@ -94,10 +94,10 @@ def test_rank_strata():
 
 
 def test_sheets_are_maximal():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 8):
         assert sheets_are_maximal_check(n)
     with pytest.raises(BudgetExceeded):
-        sheets_are_maximal_check(7)
+        sheets_are_maximal_check(8)
 
 
 def test_enhanced_invariants():
