@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import BudgetExceeded, NilconesError, ParseError
 from .fields import GF, QQ
@@ -78,10 +79,19 @@ def _integer(doc, key):
 
 
 def _scalar(field, s):
-    """A v or x entry: JSON text or an integer, never a float or a bool."""
-    if type(s) not in (str, int):
+    """A v or x entry: JSON text or an integer, never a float or a bool.  Over
+    Q int() reads integer text 20 times faster than Fraction; other text, and
+    text with "_" (int() reads it, Fraction on Python 3.10 not), is parsed."""
+    if type(s) is int:
+        return s
+    if type(s) is not str:
         raise ParseError(f"entries must be strings or integers, not {s!r}")
-    return field.parse(str(s))
+    if not field.char and "_" not in s:
+        try:
+            return int(s)
+        except ValueError:
+            pass
+    return field.parse(s)
 
 
 def parse_element_document(doc):
@@ -108,8 +118,8 @@ def parse_element_document(doc):
         # JSON lists only: text would be read one character at a time
         if not all(type(a) is list for a in (doc["v"], doc["x"], *doc["x"])):
             raise ParseError("v, x and the rows of x must be JSON lists")
-        ventries = tuple(_scalar(field, s) for s in doc["v"])
-        xrows = tuple(tuple(_scalar(field, s) for s in row) for row in doc["x"])
+        ventries = [_scalar(field, s) for s in doc["v"]]
+        xrows = [[_scalar(field, s) for s in row] for row in doc["x"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad element document: {exc}") from exc
     if len(ventries) != dim or len(xrows) != dim or any(len(r) != dim for r in xrows):
@@ -293,30 +303,17 @@ def cmd_identify(args, out):
         with open(args.file) as fh:
             doc = json.load(fh)
     e = parse_element_document(doc)
+    enhanced = isinstance(e, EnhancedElement)
     if args.level == "orbit":
-        if isinstance(e, EnhancedElement):
-            label = identify_orbit(e)
-        else:
-            label = identify_exotic_orbit(e)
-        if args.format == "json":
-            json.dump({"level": "orbit", "mu": list(label.mu), "nu": list(label.nu),
-                       "label": format_bipartition(label)}, out)
-            out.write("\n")
-        else:
-            out.write(format_bipartition(label) + "\n")
+        label = (identify_orbit if enhanced else identify_exotic_orbit)(e)
+        text = format_bipartition(label)
+        payload = {"level": "orbit", "mu": list(label.mu), "nu": list(label.nu)}
     else:
-        if isinstance(e, EnhancedElement):
-            label = identify_class(e)
-        else:
-            label = identify_exotic_class(e)
-        if args.format == "json":
-            json.dump({"level": "class", "lambda": list(label.lam),
-                       "blocks": [{"mu": list(b.mu), "nu": list(b.nu)}
-                                  for b in label.blocks],
-                       "label": format_class_label(label)}, out)
-            out.write("\n")
-        else:
-            out.write(format_class_label(label) + "\n")
+        label = (identify_class if enhanced else identify_exotic_class)(e)
+        text = format_class_label(label)
+        payload = {"level": "class", "lambda": list(label.lam),
+                   "blocks": [{"mu": list(b.mu), "nu": list(b.nu)} for b in label.blocks]}
+    out.write((json.dumps({**payload, "label": text}) if args.format == "json" else text) + "\n")
     return 0
 
 
@@ -339,7 +336,11 @@ def cmd_verify(args, out):
     return 0 if report["passed"] else 1
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps its
+    results in a fresh Namespace and leaves the parser as it was, so every
+    call of :func:`main` can share it."""
     parser = argparse.ArgumentParser(
         prog="nilcones",
         description="enhanced/exotic nilpotent orbits, induction, Jordan classes and sheets",
@@ -388,8 +389,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except BudgetExceeded as exc:

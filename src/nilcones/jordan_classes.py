@@ -177,17 +177,17 @@ def _eigen_blocks(x):
     """
     f = x.field
     eig, p_mat, p_inv = generalized_eigenbasis(x)
-    x_conj = p_inv.mul(x).mul(p_mat).rows
+    x_conj = p_inv.mul(x).mul(p_mat)
     blocks = []
     off = 0
     for a, m in eig:
         end = off + m
         # x preserves each generalized eigenspace, so the conjugated
         # matrix must vanish outside the diagonal blocks
-        if any(row[j] != f.zero for i, row in enumerate(x_conj)
-               if not off <= i < end for j in range(off, end)):
+        if any(row[j] for i, row in enumerate(x_conj.num) if not off <= i < end
+               for j in range(off, end)):
             raise InvariantViolation(f"eigenvalue {a}: the conjugated x is not block diagonal")
-        block = Mat(f, tuple(row[off:end] for row in x_conj[off:end]))
+        block = Mat._of(f, (row[off:end] for row in x_conj.num[off:end]), x_conj.den)
         blocks.append((off, end, block.sub(Mat.scalar(f, m, a))))
         off = end
     return p_inv, blocks
@@ -198,8 +198,9 @@ def _eigen_block_data(split, v):
     split = _eigen_blocks(x); returns a list of (multiplicity, block
     EnhancedElement with nilpotent matrix)."""
     p_inv, blocks = split
-    coords = p_inv.mul_vec(v).entries
-    return [(end - off, EnhancedElement(end - off, Vec(v.field, coords[off:end]), block))
+    coords = p_inv.mul_vec(v)
+    return [(end - off, EnhancedElement(end - off, Vec._of(v.field, coords.num[off:end],
+                                                             coords.den), block))
             for off, end, block in blocks]
 
 

@@ -8,12 +8,13 @@ with ``den`` 1 and residues in [0, p) over F_p and ``gcd(den, *num) = 1``
 over Q.  The kernels read and write these ints, so no scalar is converted
 between them; ``rows`` and ``entries`` build Fractions (over Q) on demand.
 The product and Berkowitz's division-free characteristic polynomial serve
-Q and F_p alike.  One elimination serves each field: over Q fraction-free
-(Bareiss) elimination with exact back substitution, behind rank, rref,
-nullspace and the inverse (which runs it on F_p residues too); over F_p an
-incremental reduced echelon form on residues, behind rank, rref, nullspace
-and the flag oracle of :mod:`nilcones.enhanced`.  ``det`` is the
-field-generic reference.
+Q and F_p alike, and so does the eigenvalues' integer Horner root search
+(Horner tests on int coefficients, exact synthetic division at a root).
+One elimination serves each field: over Q fraction-free (Bareiss)
+elimination with exact back substitution, behind rank, rref, nullspace and
+the inverse (which runs it on F_p residues too); over F_p an incremental
+reduced echelon form on residues, behind rank, rref, nullspace and the flag
+oracle of :mod:`nilcones.enhanced`.  ``det`` is the field-generic reference.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
+    BudgetExceeded,
     CharTwo,
     InvariantViolation,
     NonSplitSpectrum,
@@ -32,8 +34,12 @@ from .errors import (
     SizeMismatch,
     WedgeViolation,
 )
-from .fields import QQ, PrimeField
+from .fields import QQ
 from . import partitions
+
+# The F_p root search tries at most this many residues, 0, 1, 2, ...: past
+# them, with a factor still left, it raises BudgetExceeded
+ROOT_SEARCH_BUDGET_P = 2 ** 16
 
 
 def _lowest(field, rows, den=1):
@@ -103,14 +109,15 @@ class Mat:
     den: int
 
     def __init__(self, field, rows):
-        rows = tuple(tuple(map(field.of, row)) for row in rows)
+        # an int needs no coercion, and _lowest reduces it mod p
+        rows = [[e if type(e) is int else field.of(e) for e in row] for row in rows]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise SizeMismatch("ragged rows")
         den = 1
         if not field.char:
             den = lcm(*(e.denominator for row in rows for e in row))
-            rows = tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in rows)
-        _store(self, field, rows, den)
+            rows = [[e.numerator * (den // e.denominator) for e in row] for row in rows]
+        _store(self, field, *_lowest(field, rows, den))
 
     @classmethod
     def _of(cls, field, rows, den=1):
@@ -416,13 +423,13 @@ def det(m):
 # ---------------------------------------------------------------------------
 
 
-def _charpoly_monic(m):
-    """Coefficients of det(tI - m), highest degree first, leading 1.
+def _charpoly_ints(m):
+    """(c, d): the int coefficients c of det(tI - a), highest degree first,
+    for the int rows a = d m, so det(tI - m) has coefficients c_k / d^k.
 
-    Berkowitz's division-free recurrence on the int rows a = d m: the
-    characteristic polynomial of each leading block comes from that of the
-    block before it, through the products R a_r^j C of its new row R and
-    column C.  The k-th coefficient of a is divided by d^k at the end.
+    Berkowitz's division-free recurrence: the characteristic polynomial of
+    each leading block of a comes from that of the block before it, through
+    the products R a_r^j C of its new row R and column C.
     """
     if not m.is_square():
         raise SizeMismatch("charpoly needs a square matrix")
@@ -442,15 +449,15 @@ def _charpoly_monic(m):
         q += (-row_r[r], 1)
         # p times the lower-triangular Toeplitz matrix of q
         p = [sum(map(mul, q[k:], p)) for k in range(r + 1, -1, -1)]
-    if m.field.char:
-        return tuple(c % m.field.char for c in p)
-    return tuple(Fraction(c, d ** k) for k, c in enumerate(p))
+    return p, d
 
 
 def charpoly(m):
     """Coefficients (c_1, ..., c_n) of det(tI - m) = t^n + c_1 t^{n-1} + ... + c_n,
     by Berkowitz's division-free recurrence on ints, over Q and F_p alike."""
-    return _charpoly_monic(m)[1:]
+    c, d = _charpoly_ints(m)
+    p = m.field.char
+    return tuple(e % p if p else Fraction(e, d ** k) for k, e in enumerate(c) if k)
 
 
 def _power_ranks(x, w=()):
@@ -633,101 +640,87 @@ def echelon_patterns(n, d, p):
 
 
 # ---------------------------------------------------------------------------
-# polynomials (coefficient lists, lowest degree first)
+# roots of the characteristic polynomial
 # ---------------------------------------------------------------------------
 
 
-def _pnorm(f, a):
-    while a and a[-1] == f.zero:
-        a.pop()
-    return a
-
-
-def _pdivmod(f, a, b):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = f.inv(b[-1])
-    q = [f.zero] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        c = f.mul(a[-1], inv)
-        s = len(a) - len(b)
-        q[s] = c
-        for i, x in enumerate(b):
-            a[s + i] = f.sub(a[s + i], f.mul(c, x))
-        _pnorm(f, a)
-        if len(a) >= len(b) and a and a[-1] == f.zero:
-            _pnorm(f, a)
-    return _pnorm(f, q), a
-
-
 def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
+    return sorted({*small, *(abs(n) // d for d in small)})
 
 
-def _roots_with_multiplicity(field, monic_high_first):
-    """All roots in the field, with multiplicity; (roots, residual factor).
+def _horner(poly, a, b, p):
+    """b^deg poly(a / b) for the int polynomial poly, highest degree first;
+    over F_p (p > 0) b is 1 and the value is a residue."""
+    acc, bk = 0, 1
+    for c in poly:
+        acc = (acc * a + c * bk) % p if p else acc * a + c * bk
+        bk *= b
+    return acc
 
-    The residual factor is the monic part left after deflating every root,
-    highest degree first; it is () when the polynomial splits.
+
+def _divide_out(poly, a, b, p):
+    """poly / (b t - a) by synthetic division, for a root a/b in lowest terms."""
+    q, r = [], 0
+    for c in poly[:-1]:
+        r = (c + a * r) % p if p else (c + a * r) // b
+        q.append(r)
+    return q
+
+
+def _roots_with_multiplicity(p, poly):
+    """The roots with multiplicity of the int polynomial poly, highest degree
+    first, in Q (p = 0) or F_p, and the monic factor left after deflating
+    them (Fractions over Q, residues over F_p; () when poly splits).
+
+    Each candidate is tested by Horner evaluation and, at a root, divided
+    out by exact synthetic division as often as it divides.  Over Q they
+    are 0 and +-a/b, for a dividing the constant coefficient left after the
+    zero roots and b the leading one; over F_p the residues from 0 up, at
+    most ROOT_SEARCH_BUDGET_P of them.
     """
-    f = field
-    poly = list(reversed(monic_high_first))  # low -> high
     roots = []
-
-    def deflate(r):
-        count = 0
-        nonlocal poly
-        while len(poly) > 1:
-            q, rem = _pdivmod(f, poly, [f.neg(r), f.one])
-            if rem:
-                break
-            poly = q
-            count += 1
-        return count
-
-    if isinstance(f, PrimeField):
-        for cand in f.elements():
-            m = deflate(f.of(cand))
-            if m:
-                roots.append((f.of(cand), m))
-            if len(poly) == 1:
-                break
+    if p:
+        cands = ((r, 1) for r in range(min(p, ROOT_SEARCH_BUDGET_P)))
     else:
-        m0 = deflate(f.zero)
-        if m0:
-            roots.append((f.zero, m0))
-        if len(poly) > 1:
-            d = lcm(*(c.denominator for c in poly))
-            ints = [int(c * d) for c in poly]
-            lead, const = ints[-1], ints[0]
-            cands = set()
-            for pnum in _divisors(const):
-                for pden in _divisors(lead):
-                    cands.add(Fraction(pnum, pden))
-                    cands.add(Fraction(-pnum, pden))
-            for cand in sorted(cands):
-                m = deflate(cand)
-                if m:
-                    roots.append((cand, m))
-                if len(poly) == 1:
-                    break
-    residual = tuple(reversed(poly)) if len(poly) > 1 else ()
-    return roots, residual
+        zeros = next(k for k, e in enumerate(reversed(poly)) if e)
+        if zeros:
+            poly, roots = poly[:-zeros], [(Fraction(0), zeros)]
+        cands = ((s * a, b) for b, a in product(_divisors(poly[0]), _divisors(poly[-1]))
+                 if gcd(a, b) == 1 for s in (1, -1))
+    for a, b in cands:
+        if len(poly) == 1:
+            break
+        count = 0
+        while len(poly) > 1 and not _horner(poly, a, b, p):
+            poly = _divide_out(poly, a, b, p)
+            count += 1
+        if count:
+            roots.append((a if p else Fraction(a, b), count))
+    if len(poly) == 1:
+        return roots, ()
+    if p > ROOT_SEARCH_BUDGET_P:
+        raise BudgetExceeded(f"root search over F_p capped at the residues below "
+                             f"{ROOT_SEARCH_BUDGET_P}; p = {p}")
+    return roots, tuple(poly) if p else tuple(Fraction(c, poly[0]) for c in poly)
 
 
 def eigenvalues_with_multiplicity(x):
     """Sorted (eigenvalue, multiplicity) pairs; NonSplitSpectrum if the
-    characteristic polynomial has a factor with no root in the field."""
-    roots, residual = _roots_with_multiplicity(x.field, _charpoly_monic(x))
+    characteristic polynomial has a factor with no root in the field.
+
+    The roots are sought on ints: the residues of the characteristic
+    polynomial over F_p, and over Q the polynomial times the least common
+    denominator of its coefficients c_k / d^k (c the int one of d x)."""
+    c, d = _charpoly_ints(x)
+    p = x.field.char
+    if p:
+        poly = [e % p for e in c]
+    else:
+        powers = [d ** k for k in range(len(c))]
+        lcd = lcm(*(q // gcd(e, q) for e, q in zip(c, powers)))
+        poly = [e * lcd // q for e, q in zip(c, powers)]
+    roots, residual = _roots_with_multiplicity(p, poly)
     if residual:
         raise NonSplitSpectrum(residual)
     return sorted(roots, key=lambda rm: rm[0])
@@ -754,8 +747,9 @@ def generalized_eigenbasis(x):
         basis = nullspace(power)
         if len(basis) != m:
             raise InvariantViolation(f"ker (x - {a})^{m} has dimension {len(basis)}, not {m}")
-        columns.extend(w.entries for w in basis)
-    p = Mat(f, tuple(zip(*columns)))
+        # a basis vector scaled by its denominator is still a basis vector
+        columns.extend(w.num for w in basis)
+    p = Mat._of(f, tuple(zip(*columns)))
     return eig, p, inverse(p)
 
 

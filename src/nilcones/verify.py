@@ -74,6 +74,9 @@ from .sheets import (
 )
 
 DEFAULT_SEED = 20240913
+# classes whose identification suite_classes checks: all of them up to
+# n = 4 (75 classes), a seeded sample of 75 of the 212 at n = 5 (0.25 s)
+IDENTIFY_SAMPLE = 75
 
 
 class _Checker:
@@ -87,7 +90,8 @@ class _Checker:
         now = time.monotonic()
         self.checks.append({
             "name": name,
-            "status": "pass" if ok else "fail",
+            # a check that counted nothing has shown nothing
+            "status": "skipped" if count == 0 else "pass" if ok else "fail",
             "count": count,
             "details": details,
             "elapsed_seconds": round(now - self._last, 3),
@@ -277,12 +281,14 @@ def suite_classes(n, seed=DEFAULT_SEED):
             bad += 1
     checker.add("reflexivity and exotic dimension law", bad == 0, len(classes))
 
+    # each class's dimensions once, not once per pair
+    dims = [class_dim_enhanced(c) for c in classes]
     count = bad = 0
-    for c1 in classes:
-        for c2 in classes:
+    for c1, d1 in zip(classes, dims):
+        for c2, d2 in zip(classes, dims):
             if class_closure_leq(c1, c2):
                 count += 1
-                if class_dim_enhanced(c1) > class_dim_enhanced(c2):
+                if d1 > d2:
                     bad += 1
     checker.add("closure order is dimension monotone", bad == 0, count)
 
@@ -296,10 +302,11 @@ def suite_classes(n, seed=DEFAULT_SEED):
     checker.add("on nilpotent classes the order is the orbit order",
                 bad == 0, count)
 
+    orbit_dims = [class_orbit_dim(c) for c in classes]
     count = bad = 0
-    for c1 in classes:
-        for c2 in classes:
-            if class_orbit_dim(c1) != class_orbit_dim(c2):
+    for c1, o1 in zip(classes, orbit_dims):
+        for c2, o2 in zip(classes, orbit_dims):
+            if o1 != o2:
                 continue
             count += 1
             # equal dimension: each block of c1 is exactly the induced label
@@ -318,8 +325,7 @@ def suite_classes(n, seed=DEFAULT_SEED):
     checker.add("nilcone orbit intertwines doubling", bad == 0, count)
 
     count = bad = 0
-    small = [c for c in classes if c.n <= 4]
-    for c in small:
+    for c in rng.sample(classes, min(len(classes), IDENTIFY_SAMPLE)):
         ell = len(c.lam)
         base = build_class_representative(c)
         scalars = rng.sample(range(10, 60), ell)
@@ -332,10 +338,8 @@ def suite_classes(n, seed=DEFAULT_SEED):
     checker.add("identification constant along class curves and orbits",
                 bad == 0, count)
 
-    if n <= 5:
-        ok = sheets_are_maximal_check(n)
-        checker.add("stratum-maximal classes are the sheets", ok,
-                    len(classes))
+    checker.add("stratum-maximal classes are the sheets", sheets_are_maximal_check(n),
+                len(classes))
     return checker.checks
 
 

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilcones.cli import (
     build_hasse,
+    build_parser,
     emit_element_document,
     hasse_for,
     main,
@@ -174,6 +177,85 @@ def test_cmd_identify_large_prime(capsys, tmp_path):
     path.write_text(json.dumps({**doc, "p": 2 ** 89 - 1}))
     assert main(["identify", "--file", str(path), "--level", "orbit"]) == 2
     capsys.readouterr()
+
+
+def test_cmd_identify_class_large_prime_exceeds_the_root_budget(capsys, tmp_path):
+    # the eigenvalues p - 1 and p - 2 lie beyond the residues the root search
+    # tries; the scan of all of F_p once ran until it was killed
+    path = tmp_path / "element.json"
+    doc = {"n": 2, "module": "enhanced", "field": "Fp", "p": 2 ** 61 - 1,
+           "v": ["1", "1"], "x": [["-1", "0"], ["0", "-2"]]}
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["identify", "--file", str(path), "--level", "class"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "budget exceeded" in capsys.readouterr().err
+    # roots among those residues are still found, and orbits need no roots
+    path.write_text(json.dumps({**doc, "x": [["1", "0"], ["0", "2"]]}))
+    assert main(["identify", "--file", str(path), "--level", "class"]) == 0
+    assert capsys.readouterr().out.strip() == "λ=[1,1]; blocks=[(1;),(1;)]"
+    path.write_text(json.dumps({**doc, "x": [["0", "1"], ["0", "0"]]}))
+    assert main(["identify", "--file", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "(2;)"
+
+
+def test_parser_is_built_once_and_calls_do_not_leak(capsys, tmp_path):
+    # one parser serves every call of main; a call that sets options, and
+    # a usage error, leave nothing behind for the calls after them
+    doc = {"n": 2, "module": "enhanced", "field": "Q",
+           "v": ["1", "0"], "x": [["0", "1"], ["0", "0"]]}
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(doc))
+    runs = [["identify", "--file", str(path), "--level", "class", "--format", "json"],
+            ["identify", "--file", str(path), "--level", "bogus"],
+            ["identify", "--file", str(path)],
+            ["orbits", "--n", "1"],
+            ["identify", "--file", str(path), "--format", "json"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in runs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert fresh[1][0] == ("SystemExit", 2)
+    assert fresh[2][1] == "(1;1)\n"
+    shared = [run(argv) for argv in runs]
+    assert build_parser() is build_parser()
+    assert shared == fresh
+
+
+ENTRY_ALPHABET = "0123456789-+ \t\u2003_/.eE\u0663\uff15"
+
+
+@given(st.one_of(st.text(ENTRY_ALPHABET, max_size=8), st.integers(-10 ** 30, 10 ** 30)),
+       st.sampled_from((QQ, GF(7))))
+@example("1_000", QQ)  # Fraction refuses it on Python 3.10, int() does not
+@example("1_000", GF(7))
+@example(" -\u0663\u0664 ", QQ)
+@example("+3 / 4", QQ)
+@example("-1.5e1", QQ)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_document_entries_parse_as_field_parse(entry, field):
+    # the int() fast path accepts exactly what field.parse accepts, with
+    # the same value: signs, whitespace, "_", "a/b", decimals, Unicode digits
+    doc = {"n": 1, "module": "enhanced", "field": "Q", "v": [entry], "x": [[entry]]}
+    if field != QQ:
+        doc.update(field="Fp", p=field.p)
+    try:
+        want = field.parse(str(entry))
+    except ParseError:
+        with pytest.raises(ParseError):
+            parse_element_document(doc)
+        return
+    e = parse_element_document(doc)
+    assert e.v.entries == (want,) and e.x.rows == ((want,),)
 
 
 def test_cmd_hasse(capsys, tmp_path):

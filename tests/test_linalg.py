@@ -804,3 +804,86 @@ def test_normalised_representation(data):
     # the same entries over another field are another matrix
     ints = tuple(tuple(e.numerator for e in row) for row in values) if field == QQ else values
     assert Mat(QQ, ints) != Mat(GF(7), ints) and Mat(GF(3), ints) != Mat(GF(7), ints)
+
+
+# ---------------------------------------------------------------------------
+# the integer root finder against the pinned baseline's Fraction one
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def spectrum_matrices(draw):
+    """A conjugated upper-triangular matrix over Q or F_p whose diagonal
+    repeats eigenvalues and holds zeros (with denominators over Q), with an
+    irreducible quadratic block t^2 + c appended when drawn."""
+    field = draw(st.sampled_from((QQ, QQ, GF(3), GF(7))))
+    n = draw(st.integers(1, 5))
+    if field == QQ:
+        value = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        value = st.integers(0, field.p - 1)
+    eigs = draw(st.lists(st.sampled_from(draw(st.lists(value, min_size=1, max_size=3))),
+                         min_size=n, max_size=n))
+    rows = [[eigs[i] if i == j else (draw(value) if j > i else 0) for j in range(n)]
+            for i in range(n)]
+    c = draw(st.sampled_from((None, 1, 2, 3)))
+    if c is not None:
+        # over F_p t^2 + c may split; that case is compared all the same
+        rows = [row + [0, 0] for row in rows] + [[0] * n + [0, -c], [0] * n + [1, 0]]
+    m = Mat(field, rows)
+    g = random_gl(m.nrows, random.Random(draw(st.integers(0, 2 ** 16))))
+    if field != QQ:
+        g = Mat(field, g.rows)
+    return g.mul(m).mul(inverse(g))
+
+
+def baseline_spectrum(baseline, eig_fn, x):
+    """eig_fn on x rebuilt over the baseline's field: the sorted roots, or
+    ('non-split', residual factor)."""
+    field = baseline.QQ if x.field == QQ else baseline.GF(x.field.p)
+    try:
+        return eig_fn(baseline.Mat(field, x.rows))
+    except baseline.errors.NonSplitSpectrum as exc:
+        return "non-split", exc.factor
+
+
+@given(spectrum_matrices())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_eigenvalues_match_baseline(baseline, x):
+    from nilcones.linalg import eigenvalues_with_multiplicity
+
+    want = baseline_spectrum(baseline, baseline.linalg.eigenvalues_with_multiplicity, x)
+    try:
+        got = eigenvalues_with_multiplicity(x)
+    except NonSplitSpectrum as exc:
+        got = "non-split", exc.factor
+    assert got == want
+
+
+@given(st.sampled_from((0, 3, 7)), st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)),
+                                            max_size=5),
+       st.sampled_from(((), (1, 0, 1), (1, 1, 1), (2, 0, -3))))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_root_finder_matches_baseline_on_polynomials(baseline, p, factors, tail):
+    # prod (b t - a) times a factor without rational roots, as int
+    # coefficients highest first, against the baseline on the monic form
+    from nilcones.linalg import _roots_with_multiplicity
+
+    poly = list(tail) or [1]
+    for a, b in factors:
+        poly = [u * b - v * a for u, v in zip(poly + [0], [0] + poly)]
+    if p:
+        poly = [c % p for c in poly]
+        if not poly[0]:
+            return
+        lead = pow(poly[0], -1, p)
+        poly = [c * lead % p for c in poly]
+        field = baseline.GF(p)
+    else:
+        field = baseline.QQ
+    monic = [Fraction(c, poly[0]) if not p else c for c in poly]
+    roots, residual = _roots_with_multiplicity(p, poly)
+    want_roots, want_residual = baseline.linalg._roots_with_multiplicity(field, monic)
+    # the candidates are tried in another order; the roots are the same
+    assert sorted(roots) == sorted(want_roots)
+    assert residual == want_residual

@@ -48,3 +48,28 @@ def test_library_has_no_assert():
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
             assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), \
                 f"{path.name}:{node.lineno}"
+
+
+def test_a_check_that_counted_nothing_is_skipped_not_passed(monkeypatch):
+    from nilcones import verify
+
+    checker = verify._Checker()
+    checker.add("counted nothing", True, 0)
+    checker.add("counted one", True, 1)
+    assert [c["status"] for c in checker.checks] == ["skipped", "pass"]
+    monkeypatch.setitem(verify.SUITES, "jkv", lambda n, p, seed: checker.checks)
+    assert not run_suite("jkv", 2, 2)["passed"]
+
+
+def test_classes_suite_counts_every_check_at_the_top_of_its_budget():
+    # at n = 5 the identification check once sampled only classes with
+    # n <= 4, counted 0 and passed
+    from nilcones.verify import IDENTIFY_SAMPLE
+
+    report = run_suite("classes", 5, 2)
+    assert report["passed"]
+    counts = {c["name"]: c["count"] for c in report["checks"]}
+    assert all(c["status"] == "pass" for c in report["checks"])
+    assert counts["identification constant along class curves and orbits"] == IDENTIFY_SAMPLE
+    assert counts["closure order is dimension monotone"] == 10874
+    assert counts["equal-dimension pairs match the dense-sheet criterion"] == 4416
