@@ -297,11 +297,15 @@ def parse_partition_like(text):
 
 
 def cmd_identify(args, out):
-    if args.file == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.file) as fh:
-            doc = json.load(fh)
+    try:
+        if args.file == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(args.file) as fh:
+                doc = json.load(fh)
+    except ValueError as exc:
+        # JSONDecodeError, and the int-digit limit of int(), are ValueErrors
+        raise ParseError(f"bad JSON: {exc}") from exc
     e = parse_element_document(doc)
     enhanced = isinstance(e, EnhancedElement)
     if args.level == "orbit":
@@ -395,7 +399,7 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NilconesError as exc:

@@ -86,7 +86,7 @@ def embed_phi(e):
     f = e.field
     n = e.n
     x2 = Mat.block_diag(f, (e.x, e.x.transpose()))
-    v2 = Vec(f, e.v.entries + (f.zero,) * n)
+    v2 = Vec._of(f, e.v.num + (0,) * n, e.v.den)
     return ExoticElement(n, v2, x2)
 
 
@@ -96,11 +96,14 @@ def embed_psi(e):
 
 
 def embed_gl_in_sp(g):
-    """The subgroup embedding g -> diag(g, tg^{-1}) of GL_n into Sp_2n."""
-    from .linalg import inverse
+    """The subgroup embedding g -> diag(g, tg^{-1}) of GL_n into Sp_2n; the
+    image carries its inverse diag(g^{-1}, tg)."""
+    from .linalg import _with_inverse, inverse
 
     _reject_char_two(g.field)
-    return Mat.block_diag(g.field, (g, inverse(g).transpose()))
+    g_inv = inverse(g)
+    return _with_inverse(Mat.block_diag(g.field, (g, g_inv.transpose())),
+                         Mat.block_diag(g.field, (g_inv, g.transpose())))
 
 
 def exotic_orbit_dim(b):

@@ -15,15 +15,17 @@ elimination with exact back substitution, behind rank, rref, nullspace and
 the inverse (which runs it on F_p residues too); over F_p an incremental
 reduced echelon form on residues, behind rank, rref, nullspace and the flag
 oracle of :mod:`nilcones.enhanced`.  ``det`` is the field-generic reference.
+The seeded group elements carry their inverse in closed form, and
+:func:`inverse` returns it without elimination.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import (
     BudgetExceeded,
@@ -34,11 +36,13 @@ from .errors import (
     SizeMismatch,
     WedgeViolation,
 )
-from .fields import QQ
+from .fields import QQ, _is_prime
 from . import partitions
 
 # The F_p root search tries at most this many residues, 0, 1, 2, ...: past
-# them, with a factor still left, it raises BudgetExceeded
+# them, with a factor still left, it raises BudgetExceeded.  Over Q the
+# factorisation behind the candidate roots tries at most this many trial
+# divisors.
 ROOT_SEARCH_BUDGET_P = 2 ** 16
 
 
@@ -102,11 +106,14 @@ class Mat:
     as FLINT's fmpq_mat: over F_p den is 1 and num holds residues in [0, p);
     over Q gcd(den, every num) = 1.  So each value has one representation,
     and equality and hash compare (field, num, den).  ``rows`` and
-    ``entry`` build field scalars on demand."""
+    ``entry`` build field scalars on demand.  A constructor that knows the
+    inverse in closed form keeps it in ``_inverse`` (see :func:`inverse`);
+    it takes no part in equality, hash or repr."""
 
     field: object
     num: tuple
     den: int
+    _inverse: object = _field(default=None, compare=False, repr=False)
 
     def __init__(self, field, rows):
         # an int needs no coercion, and _lowest reduces it mod p
@@ -218,6 +225,12 @@ def _store(obj, field, num, den):
     object.__setattr__(obj, "num", num)
     object.__setattr__(obj, "den", den)
     return obj
+
+
+def _with_inverse(m, inv):
+    """m, carrying inv as its inverse."""
+    object.__setattr__(m, "_inverse", inv)
+    return m
 
 
 def _same_field(a, b):
@@ -378,9 +391,17 @@ def nullspace(m):
 
 
 def inverse(m):
-    """Bareiss and back substitution on [a | I] for the int rows a = d m:
-    they end at [D I | D a^-1] with D = +-det a, so m^-1 = d (D a^-1) / D.
-    ValueError when D is zero in the field."""
+    """The inverse carried by m, when its constructor knew it in closed form:
+    for g from :func:`random_gl` the product of its undone shears and sign
+    flip, for s from :func:`random_sp` -Omega ts Omega (s is symplectic), and
+    diag(g^-1, tg) for diag(g, tg^-1) from
+    :func:`nilcones.exotic.embed_gl_in_sp`.
+
+    Otherwise Bareiss and back substitution on [a | I] for the int rows
+    a = d m: they end at [D I | D a^-1] with D = +-det a, so
+    m^-1 = d (D a^-1) / D.  ValueError when D is zero in the field."""
+    if m._inverse is not None:
+        return m._inverse
     if not m.is_square():
         raise SizeMismatch("inverse needs a square matrix")
     f, n, d = m.field, m.nrows, m.den
@@ -645,8 +666,30 @@ def echelon_patterns(n, d, p):
 
 
 def _divisors(n):
-    small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
-    return sorted({*small, *(abs(n) // d for d in small)})
+    """The sorted positive divisors of n != 0, from its factorisation by
+    trial division with at most ROOT_SEARCH_BUDGET_P divisors.  A cofactor
+    left when they run out must be prime (Miller-Rabin decides), else
+    BudgetExceeded."""
+    n, q, divs = abs(n), 2, [1]
+    while q * q <= n:
+        if q > ROOT_SEARCH_BUDGET_P:
+            try:
+                prime = _is_prime(n)
+            except ValueError:
+                prime = False
+            if not prime:
+                raise BudgetExceeded(f"rational root search: {n} has no factor up to "
+                                     f"{ROOT_SEARCH_BUDGET_P} and is not prime")
+            break
+        k = 0
+        while n % q == 0:
+            n, k = n // q, k + 1
+        if k:
+            divs = [e * q ** i for e in divs for i in range(k + 1)]
+        q += 1
+    if n > 1:
+        divs += [e * n for e in divs]
+    return sorted(divs)
 
 
 def _horner(poly, a, b, p):
@@ -806,9 +849,12 @@ def limit_along_cocharacter(weights, v, x):
 
 
 def random_gl(n, rng, steps=None):
-    """A random element of GL_n(Q) with exact inverse: a product of integer
-    shears and diagonal sign flips, so the determinant is +-1."""
+    """A random element g of GL_n(Q) with exact inverse: a product of integer
+    shears and diagonal sign flips, so the determinant is +-1.  It carries
+    g^-1, kept as t = tg^-1: each shear rows[j] += c rows[i] of g is undone
+    by t[i] -= c t[j], and the sign flip of row k negates t[k]."""
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    t = [row[:] for row in rows]
     steps = 3 * n if steps is None else steps
     for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)
@@ -816,29 +862,38 @@ def random_gl(n, rng, steps=None):
             continue
         c = rng.choice([-2, -1, 1, 2])
         rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+        t[i] = [a - c * b for a, b in zip(t[i], t[j])]
     if rng.random() < 0.5 and n:
         k = rng.randrange(n)
         rows[k] = [-e for e in rows[k]]
-    return Mat._of(QQ, rows)
+        t[k] = [-e for e in t[k]]
+    return _with_inverse(Mat._of(QQ, rows), Mat._of(QQ, zip(*t)))
 
 
 def random_sp(n, rng, steps=3):
-    """A random element of Sp_2n(Q): a product of diag(g, tg^{-1}) blocks
-    and unipotent upper/lower blocks with symmetric off-diagonal part."""
-    total = Mat.identity(QQ, 2 * n)
+    """A random element s of Sp_2n(Q): a product of diag(g, tg^{-1}) blocks
+    and unipotent upper/lower blocks with symmetric off-diagonal part.  It
+    carries s^-1 = -Omega ts Omega, which for s = [[P, Q], [R, S]] is
+    [[tS, -tQ], [-tR, tP]]."""
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    zero = [[0] * n] * n
+    total = None
     for _ in range(steps):
         kind = rng.randrange(3)
         if kind == 0:
             g = random_gl(n, rng)
-            elem = Mat.block_diag(QQ, (g, inverse(g).transpose()))
+            p, q, r, s = g.num, zero, zero, g._inverse.transpose().num
         else:
             b = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
                     b[i][j] = b[j][i] = rng.randint(-2, 2)
-            one, zero = Mat.identity(QQ, n).num, ((0,) * n,) * n
-            top, bot = (b, zero) if kind == 1 else (zero, b)
-            elem = Mat._of(QQ, [[*one[i], *top[i]] for i in range(n)]
-                           + [[*bot[i], *one[i]] for i in range(n)])
-        total = total.mul(elem)
-    return total
+            p, q, r, s = (one, b, zero, one) if kind == 1 else (one, zero, b, one)
+        elem = Mat._of(QQ, [[*p[i], *q[i]] for i in range(n)] + [[*r[i], *s[i]] for i in range(n)])
+        total = elem if total is None else total.mul(elem)
+    if total is None:
+        return Mat.identity(QQ, 2 * n)
+    cols = tuple(zip(*total.num))  # the rows of ts
+    inv = [(*cols[n + i][n:], *(-e for e in cols[n + i][:n])) for i in range(n)]
+    inv += [(*(-e for e in cols[i][n:]), *cols[i][:n]) for i in range(n)]
+    return _with_inverse(total, _store(object.__new__(Mat), QQ, tuple(inv), total.den))

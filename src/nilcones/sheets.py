@@ -12,6 +12,7 @@ exact polynomial square root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from .errors import (
@@ -32,7 +33,7 @@ from .jordan_classes import (
     class_orbit_dim,
     enumerate_classes,
 )
-from .linalg import Mat, Vec, charpoly
+from .linalg import Mat, Vec, _charpoly_ints, charpoly
 from .partitions import (
     Bipartition,
     check_partition,
@@ -181,38 +182,51 @@ def enhanced_invariants(e):
     return InvariantVector(tuple(charpoly(e.x)))
 
 
-def _poly_square_root(field, coeffs):
-    """Monic square root: given (c_1..c_2n) of a monic degree-2n polynomial,
-    return (b_1..b_n) with (t^n + sum b_i t^{n-i})^2 matching, or raise."""
-    two = field.of(2)
-    if field.char == 2:
+def _square_root_ints(field, c, d):
+    """(b_1, ..., b_n): the monic square root t^n + b_1 t^{n-1} + ... + b_n
+    of the monic polynomial with coefficients c_k / d^k, c an int list
+    highest degree first of length 2n + 1 (d is 1 over F_p, as a matrix's
+    den is); NotPerfectSquare when it is no square.
+
+    Over Q the scaled polynomial sum c_k s^{2n-k} (s = d t) is monic with
+    int coefficients, so by Gauss's lemma a monic square root of it has
+    int coefficients beta_k, and b_k = beta_k / d^k.  The recurrence
+    2 beta_k = c_k - sum_{0<i<k} beta_i beta_{k-i} then halves exactly in Z,
+    and an odd right side proves that no square root exists.  Over F_p the
+    halving is a product with (p + 1) / 2.
+    """
+    p = field.char
+    if p == 2:
         raise CharTwo("polynomial square root needs characteristic != 2")
-    m = len(coeffs)
-    if m % 2:
+    if len(c) % 2 == 0:
         raise NotPerfectSquare("odd degree")
-    n = m // 2
-    b = [field.one] + [field.zero] * n
+    n = len(c) // 2
+    half = (p + 1) // 2
+    beta = [1]
     for k in range(1, n + 1):
-        acc = coeffs[k - 1]
-        for i in range(1, k):
-            acc = field.sub(acc, field.mul(b[i], b[k - i]))
-        b[k] = field.div(acc, two)
+        acc = c[k] - sum(beta[i] * beta[k - i] for i in range(1, k))
+        if p:
+            beta.append(acc * half % p)
+        elif acc % 2:
+            raise NotPerfectSquare(f"odd coefficient at degree {2 * n - k}")
+        else:
+            beta.append(acc // 2)
     for k in range(n + 1, 2 * n + 1):
-        acc = field.zero
-        for i in range(k - n, n + 1):
-            acc = field.add(acc, field.mul(b[i], b[k - i]))
-        if acc != coeffs[k - 1]:
+        acc = sum(beta[i] * beta[k - i] for i in range(k - n, n + 1)) - c[k]
+        if acc % p if p else acc:
             raise NotPerfectSquare(f"coefficient mismatch at degree {2 * n - k}")
-    return tuple(b[1:])
+    return tuple(beta[k] if p else Fraction(beta[k], d ** k) for k in range(1, n + 1))
 
 
 def exotic_invariants(e):
     """The n generating invariants of an exotic pair: the characteristic
     polynomial of the 2n x 2n matrix part is a perfect square p(t)^2 and
-    the coefficients of p are returned.  A failed square root signals data
-    that are not a valid exotic element."""
-    cp = charpoly(e.x)
-    return InvariantVector(_poly_square_root(e.field, tuple(cp)))
+    the coefficients of p are returned.  They are computed on ints: the
+    characteristic polynomial of d x (d the denominator of x) and its
+    square root have int coefficients (Gauss's lemma), see
+    :func:`_square_root_ints`.  A failed square root signals data that are
+    not a valid exotic element."""
+    return InvariantVector(_square_root_ints(e.field, *_charpoly_ints(e.x)))
 
 
 def same_fiber(e1, e2):

@@ -158,6 +158,11 @@ def test_cmd_identify_errors(capsys, tmp_path):
     doc = {"n": 2, "module": "enhanced", "field": "Q", "v": "10", "x": ["01", "00"]}
     path.write_text(json.dumps(doc))
     assert main(["identify", "--file", str(path), "--level", "orbit"]) == 2
+    # a JSON integer past Python's int-digit limit is a ValueError of the
+    # reader that is no JSONDecodeError; it once escaped with exit 1
+    path.write_text('{"n": 1, "module": "enhanced", "field": "Q", "v": [%s], "x": [["0"]]}'
+                    % ("7" * 5000))
+    assert main(["identify", "--file", str(path)]) == 2
     for bad in ({**doc, "v": ["1", "0"]}, {**doc, "x": "0100"},
                 {**doc, "v": {"0": "1"}, "x": [["0", "1"], ["0", "0"]]}):
         with pytest.raises(ParseError):
@@ -197,6 +202,26 @@ def test_cmd_identify_class_large_prime_exceeds_the_root_budget(capsys, tmp_path
     path.write_text(json.dumps({**doc, "x": [["0", "1"], ["0", "0"]]}))
     assert main(["identify", "--file", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "(2;)"
+
+
+def test_cmd_identify_class_large_eigenvalues_over_q_exceed_the_root_budget(capsys, tmp_path):
+    # the rational root candidates divide c = (10^9 + 7)(10^9 + 9), which has
+    # no factor up to the trial-division budget and is not prime; trial
+    # division up to sqrt(c) once ran until it was killed
+    path = tmp_path / "element.json"
+    doc = {"n": 2, "module": "enhanced", "field": "Q", "v": ["1", "1"],
+           "x": [["1000000007", "0"], ["0", "1000000009"]]}
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["identify", "--file", str(path), "--level", "class"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "budget exceeded" in capsys.readouterr().err
+    # a large constant coefficient with small factors, or with one prime
+    # factor past the budget, is still answered
+    for x in ([["1099511627776", "0"], ["0", "3"]], [["2305843009213693951", "0"], ["0", "2"]]):
+        path.write_text(json.dumps({**doc, "x": x}))
+        assert main(["identify", "--file", str(path), "--level", "class"]) == 0
+        assert capsys.readouterr().out.strip() == "λ=[1,1]; blocks=[(1;),(1;)]"
 
 
 def test_parser_is_built_once_and_calls_do_not_leak(capsys, tmp_path):

@@ -747,6 +747,34 @@ def test_random_group_elements_match_baseline(baseline):
             assert random_sp(n, random.Random(s)).rows == base.random_sp(n, random.Random(s)).rows
 
 
+def test_group_elements_carry_their_exact_inverse():
+    # each carried inverse is a two-sided inverse and equals the one Bareiss
+    # finds for a fresh copy of the matrix, which carries none
+    from nilcones.exotic import embed_gl_in_sp
+
+    f7 = GF(7)
+    for n in range(1, 7):
+        for s in range(50):
+            g = random_gl(n, random.Random(s))
+            for m in (g, random_sp(n, random.Random(s)), embed_gl_in_sp(g),
+                      embed_gl_in_sp(Mat(f7, g.rows))):
+                fresh = Mat._of(m.field, m.num, m.den)
+                assert m._inverse is not None and fresh._inverse is None
+                one = Mat.identity(m.field, m.nrows)
+                assert m.mul(inverse(m)) == inverse(m).mul(m) == one
+                assert inverse(m) == inverse(fresh)
+    assert random_sp(2, random.Random(0), steps=0) == Mat.identity(QQ, 4)
+
+
+def test_carried_inverse_is_not_part_of_the_value():
+    for s in range(20):
+        m = random_sp(3, random.Random(s))
+        fresh = Mat._of(m.field, m.num, m.den)
+        assert m._inverse is not None
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+        assert {fresh: s}[m] == s
+
+
 @st.composite
 def spelled_matrices(draw):
     """(values, respelled, other): the rows of a matrix over Q or F_p, the

@@ -1,20 +1,23 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nilcones.errors import BudgetExceeded, ModuleMismatch, NotPerfectSquare
+from nilcones.errors import BudgetExceeded, CharTwo, ModuleMismatch, NotPerfectSquare
 from nilcones.fields import GF, QQ
-from nilcones.linalg import Mat, Vec, random_gl
+from nilcones.linalg import Mat, Vec, charpoly, inverse, random_gl, random_sp
 from nilcones.partitions import Bipartition, enumerate_bipartitions
 from nilcones.enhanced import EnhancedElement, act, build_representative
-from nilcones.exotic import build_semisimple_exotic, embed_phi
+from nilcones.exotic import ExoticElement, build_semisimple_exotic, embed_phi
 from nilcones.jordan_classes import ClassLabel, class_nilcone_orbit, enumerate_classes
 from nilcones.sheets import (
     VEC,
     ZERO,
     InvariantVector,
     SheetLabel,
-    _poly_square_root,
+    _square_root_ints,
     enhanced_invariants,
     enumerate_sheets,
     exotic_invariants,
@@ -124,9 +127,108 @@ def test_exotic_invariants():
     assert exotic_invariants(s).coefficients == (QQ.of(-3), QQ.of(2))
     with pytest.raises(NotPerfectSquare):
         # (t - 1)(t - 2)(t - 3)(t - 4) is squarefree of degree 4
-        _poly_square_root(QQ, (QQ.of(-10), QQ.of(35), QQ.of(-50), QQ.of(24)))
+        _square_root_ints(QQ, [1, -10, 35, -50, 24], 1)
     with pytest.raises(NotPerfectSquare):
-        _poly_square_root(QQ, (QQ.of(1),))
+        _square_root_ints(QQ, [1, 1], 1)
+    with pytest.raises(CharTwo):
+        _square_root_ints(GF(2), [1, 0, 1], 1)
+
+
+def _poly_square_root(field, coeffs):
+    """Reference monic square root on field scalars: given (c_1..c_2n) of a
+    monic degree-2n polynomial, return (b_1..b_n) with
+    (t^n + sum b_i t^{n-i})^2 matching, or raise NotPerfectSquare."""
+    two = field.of(2)
+    m = len(coeffs)
+    if m % 2:
+        raise NotPerfectSquare("odd degree")
+    n = m // 2
+    b = [field.one] + [field.zero] * n
+    for k in range(1, n + 1):
+        acc = coeffs[k - 1]
+        for i in range(1, k):
+            acc = field.sub(acc, field.mul(b[i], b[k - i]))
+        b[k] = field.div(acc, two)
+    for k in range(n + 1, 2 * n + 1):
+        acc = field.zero
+        for i in range(k - n, n + 1):
+            acc = field.add(acc, field.mul(b[i], b[k - i]))
+        if acc != coeffs[k - 1]:
+            raise NotPerfectSquare(f"coefficient mismatch at degree {2 * n - k}")
+    return tuple(b[1:])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotPerfectSquare:
+        return NotPerfectSquare
+
+
+@st.composite
+def square_root_cases(draw):
+    """(field, kind, coefficients c_1..c_m): the square of a random monic
+    polynomial (kind "square", over Q with denominators), that square with
+    its constant term moved (kind "moved", never a square: q^2 + e = r^2
+    would make (r - q)(r + q) = e with r + q of degree deg q >= 1), with
+    another coefficient moved (kind "other", a square or not), or a monic
+    polynomial of odd degree (kind "odd")."""
+    field = draw(st.sampled_from((QQ, GF(3), GF(7))))
+    if field.char:
+        scalars = st.integers(0, field.char - 1)
+    else:
+        scalars = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    kind = draw(st.sampled_from(("square", "moved", "other", "odd")))
+    if kind == "odd":
+        degree = 2 * draw(st.integers(0, 4)) + 1
+        return field, kind, tuple(field.of(draw(scalars)) for _ in range(degree))
+    n = draw(st.integers(1, 4))
+    q = [field.one] + [field.of(draw(scalars)) for _ in range(n)]
+    c = [field.zero] * (2 * n + 1)
+    for i, a in enumerate(q):
+        for j, b in enumerate(q):
+            c[i + j] = field.add(c[i + j], field.mul(a, b))
+    if kind != "square":
+        k = 2 * n if kind == "moved" else draw(st.integers(1, 2 * n - 1))
+        c[k] = field.add(c[k], field.of(draw(st.integers(1, 5 if field.char == 7 else 2))))
+    return field, kind, tuple(c[1:]), tuple(q[1:])
+
+
+@given(square_root_cases(), st.integers(1, 3))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_square_root_ints_matches_fraction_reference(case, extra):
+    # the int kernel takes c_k d^k for a d clearing every denominator (times
+    # an extra factor over Q); over F_p d is 1
+    field, kind, coeffs = case[:3]
+    if field.char:
+        d, ints = 1, [1, *coeffs]
+    else:
+        d = extra * lcm(*(c.denominator for c in coeffs))
+        ints = [1] + [int(c * d ** k) for k, c in enumerate(coeffs, 1)]
+    got = _outcome(_square_root_ints, field, ints, d)
+    assert got == _outcome(_poly_square_root, field, coeffs)
+    if kind == "square":
+        assert got == case[3]
+    elif kind in ("moved", "odd"):
+        assert got is NotPerfectSquare
+
+
+def test_exotic_invariants_match_fraction_reference():
+    # exotic pairs over Q with denominators, embedded and then conjugated
+    rng = random.Random(12)
+    with_den = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        x = Mat(QQ, tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+                          for _ in range(n)))
+        base = enhanced_invariants(EnhancedElement(n, Vec.zero(QQ, n), x)).coefficients
+        exo = embed_phi(EnhancedElement(n, Vec.zero(QQ, n), x))
+        s = random_sp(n, rng, steps=2)
+        moved = ExoticElement(n, exo.v, s.mul(exo.x).mul(inverse(s)))
+        with_den += moved.x.den > 1
+        for e in (exo, moved):
+            assert exotic_invariants(e).coefficients == _poly_square_root(QQ, charpoly(e.x)) == base
+    assert with_den > 30
 
 
 def test_same_fiber():
