@@ -8,7 +8,6 @@ from .partitions import (
     Composition,
     add,
     ah_closure_leq,
-    dominance_leq,
     double,
     enumerate_bipartitions,
     format_bipartition,
@@ -53,8 +52,6 @@ from .exotic import (
     embed_psi,
     exotic_orbit_dim,
     identify_exotic_orbit,
-    is_sp_element,
-    is_wedge_element,
 )
 from .jordan_classes import (
     ClassLabel,
@@ -70,8 +67,6 @@ from .sheets import (
     enhanced_invariants,
     enumerate_sheets,
     exotic_invariants,
-    rank_stratum,
-    same_fiber,
     sheet_dim_enhanced,
     sheet_nilpotent_orbit,
     sheets_are_maximal_check,

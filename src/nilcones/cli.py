@@ -340,6 +340,18 @@ def cmd_verify(args, out):
     return 0 if report["passed"] else 1
 
 
+def _rank(text):
+    """The value of --n: an integer of at least 1 (argparse exits 2 on
+    anything else)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 @cache
 def build_parser():
     """The argument parser, built once per process: parse_args keeps its
@@ -352,12 +364,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("orbits", help="orbit table for one rank")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("sheets", help="sheet table for one rank")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.set_defaults(func=cmd_sheets)
 
@@ -377,14 +389,14 @@ def build_parser():
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("hasse", help="DOT diagram of a closure order")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--kind", choices=["orbits", "classes", "sheets"], default="orbits")
     p.add_argument("--out", default="-", help="output path, or - for stdout")
     p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("verify", help="run one verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_rank, default=3)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)

@@ -24,6 +24,7 @@ from .linalg import (
     _free_column_basis,
     _residual,
     echelon_patterns,
+    inverse,
     jordan_chevalley_split,
     restricted_jordan_type,
 )
@@ -32,7 +33,6 @@ from .partitions import (
     Composition,
     add,
     ah_closure_leq,
-    enumerate_bipartitions,
     sum_bipartitions,
     transpose,
 )
@@ -63,8 +63,6 @@ class EnhancedElement:
 
 def act(g, e):
     """The group action g.(v, x) = (gv, gxg^{-1}); g must be invertible."""
-    from .linalg import inverse
-
     return EnhancedElement(e.n, g.mul_vec(e.v), g.mul(e.x).mul(inverse(g)))
 
 
@@ -79,14 +77,11 @@ def orbit_dim(b):
     return n * n - sum(c * c for c in lam_tr) + sum(b.mu)
 
 
-def build_representative(b, field=QQ, summed=False):
+def build_representative(b, field=QQ):
     """Normal-form representative of the orbit labelled b.
 
     x is in Jordan form with chain i of length mu_i + nu_i, and v is the
     sum of the depth-mu_i basis vector of each of the first l(mu) chains.
-    With ``summed=True`` the vector instead sums all chain vectors up to
-    depth mu_i (the image of the standard representative under the
-    unipotent element 1 + x + x^2 + ...; same orbit).
     """
     mu, nu = b.mu, b.nu
     lam = add(mu, nu)
@@ -102,11 +97,7 @@ def build_representative(b, field=QQ, summed=False):
             rows[offsets[i] + j - 1][offsets[i] + j] = field.one
     ventries = [field.zero] * n
     for i in range(len(mu)):
-        if summed:
-            for j in range(mu[i]):
-                ventries[offsets[i] + j] = field.one
-        else:
-            ventries[offsets[i] + mu[i] - 1] = field.one
+        ventries[offsets[i] + mu[i] - 1] = field.one
     return EnhancedElement(n, Vec(field, tuple(ventries)),
                            Mat(field, tuple(tuple(r) for r in rows)))
 
@@ -238,7 +229,7 @@ def closure_leq(b1, b2):
     """True iff the orbit of b1 lies in the closure of the orbit of b2.
 
     Delegates to the combinatorial rule; the two oracles below certify the
-    rule on every pair at small n (see validate_closure_rule).
+    rule on every pair at small n (see nilcones.verify.suite_closure).
     """
     return ah_closure_leq(b1, b2)
 
@@ -440,23 +431,3 @@ def closure_oracle_sweep(b_small, b_big, p):
                      if block_of[r] >= block_of[c])]
     return any(not any(map(pt.__getitem__, must_vanish))
                for pt in _orbit_walk(xrows, ventries, p))
-
-
-def validate_closure_rule(n, p, alt_order=False):
-    """Compare the combinatorial order with the flag oracle on every ordered
-    pair of labels of size n.
-
-    Returns (pairs_checked, mismatches); an empty mismatch list certifies
-    the rule at this size and prime.
-    """
-    labels = enumerate_bipartitions(n)
-    mismatches = []
-    checked = 0
-    for b1 in labels:
-        for b2 in labels:
-            want = closure_leq(b1, b2)
-            got = closure_oracle_flag(b1, b2, p, alt_order=alt_order)
-            checked += 1
-            if want != got:
-                mismatches.append((b1, b2, "flag", want, got))
-    return checked, mismatches

@@ -56,9 +56,5 @@ class NotPerfectSquare(NilconesError):
     pass
 
 
-class ModuleMismatch(NilconesError):
-    pass
-
-
 class ParseError(NilconesError):
     pass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CharTwo, NotDoubled, RepeatedEigenvalue, SizeMismatch, WedgeViolation
 from .fields import QQ
-from .linalg import Mat, Vec, has_wedge_block_form, omega_matrix
+from .linalg import Mat, Vec, _with_inverse, has_wedge_block_form, inverse
 from .enhanced import EnhancedElement, identify_orbit, orbit_dim
 from .partitions import check_partition, halve
 
@@ -49,36 +49,6 @@ class ExoticElement:
         return self.x.field
 
 
-def is_wedge_element(x):
-    """Self-adjointness test: [[A, B], [C, tA]] with tB = -B, tC = -C."""
-    _reject_char_two(x.field)
-    return has_wedge_block_form(x)
-
-
-def is_sp_element(a):
-    """Membership in sp_2n: tA.Omega + Omega.A = 0."""
-    _reject_char_two(a.field)
-    if not a.is_square() or a.nrows % 2:
-        return False
-    omega = omega_matrix(a.field, a.nrows // 2)
-    return a.transpose().mul(omega).add(omega.mul(a)).is_zero()
-
-
-def sp_wedge_components(x):
-    """Split x in gl_2n uniquely as (sp part, wedge part); char != 2."""
-    _reject_char_two(x.field)
-    if not x.is_square() or x.nrows % 2:
-        raise SizeMismatch("need a 2n x 2n matrix")
-    f = x.field
-    omega = omega_matrix(f, x.nrows // 2)
-    # adjoint of x: Omega^{-1} tX Omega = -Omega tX Omega  (Omega^2 = -1)
-    adj = omega.mul(x.transpose()).mul(omega).scale(f.neg(f.one))
-    half = f.inv(f.of(2))
-    wedge = x.add(adj).scale(half)
-    sp = x.sub(adj).scale(half)
-    return sp, wedge
-
-
 def embed_phi(e):
     """GL_n-equivariant inclusion of the enhanced module: v goes to v + 0
     and x to diag(x, tx)."""
@@ -98,8 +68,6 @@ def embed_psi(e):
 def embed_gl_in_sp(g):
     """The subgroup embedding g -> diag(g, tg^{-1}) of GL_n into Sp_2n; the
     image carries its inverse diag(g^{-1}, tg)."""
-    from .linalg import _with_inverse, inverse
-
     _reject_char_two(g.field)
     g_inv = inverse(g)
     return _with_inverse(Mat.block_diag(g.field, (g, g_inv.transpose())),

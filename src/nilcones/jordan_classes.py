@@ -21,6 +21,7 @@ from .errors import BudgetExceeded, InvariantViolation, NotDoubled, RepeatedEige
 from .fields import QQ
 from .linalg import Mat, Vec, generalized_eigenbasis
 from .enhanced import EnhancedElement, build_representative, identify_orbit, orbit_dim
+from .exotic import embed_psi
 from .partitions import (
     _prefix_sums,
     _sums_leq,
@@ -28,6 +29,7 @@ from .partitions import (
     enumerate_bipartitions,
     format_bipartition,
     halve,
+    multiplicity,
     order_key,
     part_runs,
     partitions_of,
@@ -85,9 +87,9 @@ class ClassLabel:
         return format_class_label(self)
 
 
-def format_class_label(c, exponents=True):
+def format_class_label(c):
     lam_text = ",".join(str(p) for p in c.lam)
-    block_text = ",".join(format_bipartition(b, exponents) for b in c.blocks)
+    block_text = ",".join(format_bipartition(b) for b in c.blocks)
     return f"λ=[{lam_text}]; blocks=[{block_text}]"
 
 
@@ -108,8 +110,6 @@ def enumerate_classes(n):
 
 def class_count_formula(n):
     """Multiset count: sum over lam of prod_i C(|Q_i| + d_i - 1, d_i)."""
-    from .partitions import multiplicity
-
     q_sizes = {}
     total = 0
     for lam in partitions_of(n):
@@ -221,8 +221,6 @@ def identify_exotic_class(e):
     """Class label of an exotic element: eigenvalue multiplicities are all
     even and halve to lam; each block identifies through its doubled
     enhanced label."""
-    from .exotic import embed_psi
-
     big = embed_psi(e)
     data = _eigen_block_data(_eigen_blocks(big.x), big.v)
     lam = []

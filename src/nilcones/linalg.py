@@ -105,10 +105,10 @@ class Mat:
     """A matrix stored as int rows num over one common denominator den > 0,
     as FLINT's fmpq_mat: over F_p den is 1 and num holds residues in [0, p);
     over Q gcd(den, every num) = 1.  So each value has one representation,
-    and equality and hash compare (field, num, den).  ``rows`` and
-    ``entry`` build field scalars on demand.  A constructor that knows the
-    inverse in closed form keeps it in ``_inverse`` (see :func:`inverse`);
-    it takes no part in equality, hash or repr."""
+    and equality and hash compare (field, num, den).  ``rows`` builds
+    field scalars on demand.  A constructor that knows the inverse in
+    closed form keeps it in ``_inverse`` (see :func:`inverse`); it takes no
+    part in equality, hash or repr."""
 
     field: object
     num: tuple
@@ -150,9 +150,6 @@ class Mat:
     def is_zero(self):
         return not any(map(any, self.num))
 
-    def entry(self, i, j):
-        return _value(self.field, self.num[i][j], self.den)
-
     def add(self, other):
         return self._combine(other, 1)
 
@@ -168,10 +165,6 @@ class Mat:
         ka, kb, den = (1, sign, da) if da == db else (db, sign * da, da * db)
         return Mat._of(self.field, ((ka * a + kb * b for a, b in zip(r1, r2))
                                     for r1, r2 in zip(self.num, other.num)), den)
-
-    def scale(self, c):
-        cn, cd = self.field.of(c).as_integer_ratio()
-        return Mat._of(self.field, ((cn * e for e in row) for row in self.num), cd * self.den)
 
     def mul(self, other):
         _same_field(self, other)
@@ -634,14 +627,6 @@ def stabilizer_dim_sp(v, x):
 # ---------------------------------------------------------------------------
 
 
-def gaussian_binomial(n, d, p):
-    num = den = 1
-    for i in range(d):
-        num *= p ** (n - i) - 1
-        den *= p ** (d - i) - 1
-    return num // den
-
-
 def echelon_patterns(n, d, p):
     """Every d x n reduced-row-echelon matrix over F_p, as a tuple of int
     rows: one per d-dimensional subspace of F_p^n.  No budget check."""
@@ -848,15 +833,14 @@ def limit_along_cocharacter(weights, v, x):
 # ---------------------------------------------------------------------------
 
 
-def random_gl(n, rng, steps=None):
+def random_gl(n, rng):
     """A random element g of GL_n(Q) with exact inverse: a product of integer
     shears and diagonal sign flips, so the determinant is +-1.  It carries
     g^-1, kept as t = tg^-1: each shear rows[j] += c rows[i] of g is undone
     by t[i] -= c t[j], and the sign flip of row k negates t[k]."""
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     t = [row[:] for row in rows]
-    steps = 3 * n if steps is None else steps
-    for _ in range(steps):
+    for _ in range(3 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue

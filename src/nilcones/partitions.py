@@ -71,19 +71,6 @@ def multiplicity(lam, i):
     return sum(1 for p in lam if p == i)
 
 
-def dominance_leq(lam1, lam2):
-    """Classical dominance order on partitions of the same size."""
-    if sum(lam1) != sum(lam2):
-        raise SizeMismatch(f"|{lam1}| != |{lam2}|")
-    s1 = s2 = 0
-    for i in range(max(len(lam1), len(lam2))):
-        s1 += lam1[i] if i < len(lam1) else 0
-        s2 += lam2[i] if i < len(lam2) else 0
-        if s1 > s2:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n, max_part=None):
     """All partitions of n (parts <= max_part), sorted by tuple order."""
@@ -306,10 +293,6 @@ class Composition:
         if not 0 <= self.k <= len(parts):
             raise ValueError(f"marked prefix {self.k} out of range for {parts}")
         object.__setattr__(self, "parts", parts)
-
-    @property
-    def total(self):
-        return sum(self.parts)
 
 
 # ---------------------------------------------------------------------------

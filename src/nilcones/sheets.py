@@ -18,12 +18,10 @@ from itertools import product
 from .errors import (
     BudgetExceeded,
     CharTwo,
-    ModuleMismatch,
     NonSplitSpectrum,
     NotPerfectSquare,
     SizeMismatch,
 )
-from .enhanced import EnhancedElement
 from .fields import GF
 from .jordan_classes import (
     ClassLabel,
@@ -137,11 +135,6 @@ def sheet_nilpotent_orbit(s):
     return Bipartition(transpose(vec_parts), transpose(zero_parts))
 
 
-def rank_stratum(n, k):
-    """All classes whose orbits have dimension exactly k."""
-    return [c for c in enumerate_classes(n) if class_orbit_dim(c) == k]
-
-
 def sheets_are_maximal_check(n):
     """True iff inside every rank stratum the classes maximal for the class
     closure order are exactly the sheet labels' dense classes."""
@@ -227,19 +220,6 @@ def exotic_invariants(e):
     :func:`_square_root_ints`.  A failed square root signals data that are
     not a valid exotic element."""
     return InvariantVector(_square_root_ints(e.field, *_charpoly_ints(e.x)))
-
-
-def same_fiber(e1, e2):
-    """True iff both elements map to the same point of the affine quotient."""
-    if type(e1) is not type(e2):
-        raise ModuleMismatch("elements live in different modules")
-    if e1.field != e2.field:
-        raise ModuleMismatch("elements live over different fields")
-    if isinstance(e1, EnhancedElement):
-        if e1.n != e2.n:
-            raise ModuleMismatch("elements have different ranks")
-        return enhanced_invariants(e1) == enhanced_invariants(e2)
-    return exotic_invariants(e1) == exotic_invariants(e2)
 
 
 def fiber_census(n, p):

@@ -31,13 +31,14 @@ from .linalg import (
     stabilizer_dim_sp,
     stabilizer_system,
 )
-from .partitions import ah_closure_leq, double, enumerate_bipartitions
+from .partitions import Composition, ah_closure_leq, double, enumerate_bipartitions
 from .enhanced import (
     SWEEP_ORACLE_BUDGET_N,
     EnhancedElement,
     InductionDatum,
     act,
     build_representative,
+    closure_oracle_flag,
     closure_oracle_sweep,
     identify_orbit,
     induce,
@@ -47,7 +48,6 @@ from .enhanced import (
     jkv_decompose,
     orbit_dim,
     rigid_datum,
-    validate_closure_rule,
     _orbit_walk,
 )
 from .exotic import ExoticElement, embed_phi, embed_psi, exotic_orbit_dim
@@ -112,14 +112,12 @@ def _compositions(n):
 
 def _all_data(comp):
     """Every induction datum on the given block sizes (mark irrelevant)."""
-    from .partitions import Composition
-
     pools = [enumerate_bipartitions(size) for size in comp]
     for blocks in product(*pools):
         yield InductionDatum(Composition(comp, k=0), tuple(blocks))
 
 
-def suite_doubling(n, seed=DEFAULT_SEED):
+def suite_doubling(n):
     """Orbit dimension formula vs. the gl, sp and doubled-gl stabilizer
     oracles, for every label of size <= n over Q.
 
@@ -158,28 +156,28 @@ def suite_doubling(n, seed=DEFAULT_SEED):
     return checker.checks
 
 
-def suite_closure(n, p, seed=DEFAULT_SEED):
+def _rule_against_oracle(checker, name, labels, oracle):
+    """Check the combinatorial closure order against ``oracle(b1, b2)`` on
+    every ordered pair of labels, as one check: an empty mismatch list
+    certifies the rule on these labels."""
+    mismatches = [(b1, b2, want, got) for b1 in labels for b2 in labels
+                  if (want := ah_closure_leq(b1, b2)) != (got := oracle(b1, b2))]
+    checker.add(name, not mismatches, len(labels) ** 2, str(mismatches[:3]))
+
+
+def suite_closure(n, p):
     """Combinatorial closure order against the flag oracle (all ordered
     pairs), the alternative block ordering and the orbit-walk oracle, and
     the point count of the orbits the walk finds."""
     checker = _Checker()
-    checked, flag_mm = validate_closure_rule(n, p)
-    checker.add(f"flag oracle agrees at n={n}, p={p}",
-                not flag_mm, checked, str(flag_mm[:3]))
-    alt_checked, alt_mm = validate_closure_rule(n, p, alt_order=True)
-    checker.add("flag oracle independent of block ordering",
-                not alt_mm, alt_checked, str(alt_mm[:3]))
+    labels = enumerate_bipartitions(n)
+    _rule_against_oracle(checker, f"flag oracle agrees at n={n}, p={p}", labels,
+                         lambda b1, b2: closure_oracle_flag(b1, b2, p))
+    _rule_against_oracle(checker, "flag oracle independent of block ordering", labels,
+                         lambda b1, b2: closure_oracle_flag(b1, b2, p, alt_order=True))
     if n <= SWEEP_ORACLE_BUDGET_N:
-        labels = enumerate_bipartitions(n)
-        sweep_mm = []
-        for b1 in labels:
-            for b2 in labels:
-                want = ah_closure_leq(b1, b2)
-                got = closure_oracle_sweep(b1, b2, p)
-                if want != got:
-                    sweep_mm.append((b1, b2, "sweep", want, got))
-        checker.add(f"group sweep agrees at n={n}, p={p}",
-                    not sweep_mm, len(labels) ** 2, str(sweep_mm[:3]))
+        _rule_against_oracle(checker, f"group sweep agrees at n={n}, p={p}", labels,
+                             lambda b1, b2: closure_oracle_sweep(b1, b2, p))
         # the orbits partition the p^n * p^(n^2 - n) points of the nilcone
         # (Fine-Herstein count of nilpotent matrices)
         orbits = [set(_orbit_walk(rep.x.rows, rep.v.entries, p))
@@ -192,7 +190,7 @@ def suite_closure(n, p, seed=DEFAULT_SEED):
     return checker.checks
 
 
-def suite_induction(n, seed=DEFAULT_SEED):
+def suite_induction(n):
     """Transitivity, codimension preservation, rigid classification and the
     rigid-datum round trip, exhaustively in the block combinatorics."""
     if n > 6:
@@ -211,8 +209,6 @@ def suite_induction(n, seed=DEFAULT_SEED):
     checker.add("induction preserves codimension", bad == 0, count)
 
     count = bad = 0
-    from .partitions import Composition
-
     for comp in _compositions(n):
         for grouping in _compositions(len(comp)):
             # grouping partitions the blocks of comp into consecutive runs
@@ -343,7 +339,7 @@ def suite_classes(n, seed=DEFAULT_SEED):
     return checker.checks
 
 
-def suite_quotient(n, p=3, seed=DEFAULT_SEED, samples=200):
+def suite_quotient(n, p=3, seed=DEFAULT_SEED):
     """Invariant compatibility through the symplectic embedding, vanishing
     on exactly the nilpotent pairs, conjugation invariance, and the finite
     field fiber census."""
@@ -351,6 +347,7 @@ def suite_quotient(n, p=3, seed=DEFAULT_SEED, samples=200):
         raise BudgetExceeded("quotient suite capped at n <= 4")
     rng = random.Random(seed)
     checker = _Checker()
+    samples = 200
 
     count = bad = 0
     for _ in range(samples):
@@ -414,7 +411,7 @@ def suite_quotient(n, p=3, seed=DEFAULT_SEED, samples=200):
     return checker.checks
 
 
-def suite_jkv(seed=DEFAULT_SEED):
+def suite_jkv():
     """Replay of the two Jordan decompositions of the pair
     v = (1, 1), x = [[a, 1], [0, b]]: both satisfy the three axioms.
 
@@ -475,12 +472,12 @@ def suite_jkv(seed=DEFAULT_SEED):
 
 
 SUITES = {
-    "doubling": lambda n, p, seed: suite_doubling(n, seed=seed),
-    "closure": lambda n, p, seed: suite_closure(n, p, seed=seed),
-    "induction": lambda n, p, seed: suite_induction(n, seed=seed),
+    "doubling": lambda n, p, seed: suite_doubling(n),
+    "closure": lambda n, p, seed: suite_closure(n, p),
+    "induction": lambda n, p, seed: suite_induction(n),
     "classes": lambda n, p, seed: suite_classes(n, seed=seed),
     "quotient": lambda n, p, seed: suite_quotient(n, p, seed=seed),
-    "jkv": lambda n, p, seed: suite_jkv(seed=seed),
+    "jkv": lambda n, p, seed: suite_jkv(),
 }
 
 

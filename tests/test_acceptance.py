@@ -98,7 +98,7 @@ def quadric_coordinates(x):
     """Match a 4x4 matrix against the 5-parameter trace-zero self-adjoint
     family; returns (a, b, c, e, f) or raises AssertionError."""
     f = x.field
-    a, b, c, e, ff = x.entry(0, 0), x.entry(0, 1), x.entry(1, 0), x.entry(0, 3), x.entry(2, 1)
+    a, b, c, e, ff = x.rows[0][0], x.rows[0][1], x.rows[1][0], x.rows[0][3], x.rows[2][1]
     na = f.neg(a)
     expected = (
         (a, b, f.zero, e),
@@ -122,7 +122,7 @@ def test_criterion_03_sp4_quadric(capsys):
         x = g.mul(rep.x).mul(inverse(g))
         points.append(x)
         # limits: scaling contractions stay in the closure
-        points.append(x.scale(QQ.of(rng.choice([0, 1, 2])) / 2))
+        points.append(Mat.scalar(QQ, 4, QQ.of(rng.choice([0, 1, 2])) / 2).mul(x))
     points.append(Mat.zeros(QQ, 4))
     for x in points:
         a, b, c, e, f = quadric_coordinates(x)

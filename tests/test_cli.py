@@ -368,6 +368,27 @@ def test_exit_codes(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # these once ended in a randrange traceback and exit 1, the code of a
+    # failed verification
+    ["verify", "--suite", "quotient", "--n", "0"],
+    ["verify", "--suite", "quotient", "--n", "-3"],
+    # once empty output and exit 0
+    ["orbits", "--n", "-1"],
+    ["sheets", "--n", "-2"],
+    ["hasse", "--n", "-1"],
+    # once nine skipped checks and exit 1
+    ["verify", "--suite", "classes", "--n", "-1"],
+    ["orbits", "--n", "two"],
+])
+def test_rank_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --n" in captured.err
+
+
 def test_build_hasse_dot_escaping():
     doc = build_hasse([1, 2], lambda a, b: a <= b, lambda x: f'q"{x}"', lambda x: x)
     assert r"\"" in doc.to_dot()

@@ -4,7 +4,16 @@ import pytest
 
 from nilcones.errors import CharTwo, RepeatedEigenvalue, SizeMismatch, WedgeViolation
 from nilcones.fields import GF, QQ
-from nilcones.linalg import Mat, Vec, inverse, omega_matrix, random_gl, stabilizer_dim_sp
+from nilcones.linalg import (
+    Mat,
+    Vec,
+    has_wedge_block_form,
+    inverse,
+    omega_matrix,
+    random_gl,
+    random_sp,
+    stabilizer_dim_sp,
+)
 from nilcones.partitions import Bipartition, double, enumerate_bipartitions
 from nilcones.enhanced import build_representative, identify_orbit, orbit_dim
 from nilcones.exotic import (
@@ -15,9 +24,6 @@ from nilcones.exotic import (
     embed_psi,
     exotic_orbit_dim,
     identify_exotic_orbit,
-    is_sp_element,
-    is_wedge_element,
-    sp_wedge_components,
 )
 
 B = Bipartition
@@ -35,39 +41,41 @@ def remark_quadric_matrix(a, b, c, e, f, field=QQ):
     ))
 
 
+def in_sp(a):
+    """Membership in sp_2n, from its definition tA.Omega + Omega.A = 0."""
+    omega = omega_matrix(a.field, a.nrows // 2)
+    return a.transpose().mul(omega).add(omega.mul(a)).is_zero()
+
+
 def test_is_wedge_element():
-    assert is_wedge_element(Mat.zeros(QQ, 4))
+    assert has_wedge_block_form(Mat.zeros(QQ, 4))
     d = Mat(QQ, tuple(tuple({0: 1, 1: 2, 2: 1, 3: 2}[i] if i == j else 0
                             for j in range(4)) for i in range(4)))
-    assert is_wedge_element(d)
-    assert is_wedge_element(remark_quadric_matrix(1, 2, 3, 5, 7))
-    assert not is_wedge_element(Mat(QQ, ((0, 1, 0, 0), (0, 0, 0, 0),
-                                         (0, 0, 0, 0), (0, 0, 0, 0))))
-    with pytest.raises(CharTwo):
-        is_wedge_element(Mat.zeros(GF(2), 2))
+    assert has_wedge_block_form(d)
+    assert has_wedge_block_form(remark_quadric_matrix(1, 2, 3, 5, 7))
+    assert not has_wedge_block_form(Mat(QQ, ((0, 1, 0, 0), (0, 0, 0, 0),
+                                             (0, 0, 0, 0), (0, 0, 0, 0))))
 
 
 def test_is_sp_element():
-    assert is_sp_element(Mat.zeros(QQ, 4))
+    assert in_sp(Mat.zeros(QQ, 4))
     a = Mat(QQ, ((1, 2), (3, 4)))
-    levi = Mat.block_diag(QQ, (a, a.transpose().scale(-1)))
-    assert is_sp_element(levi)
-    assert not is_sp_element(remark_quadric_matrix(1, 2, 3, 5, 7))
-
-
-def test_sp_wedge_splitting():
+    levi = Mat.block_diag(QQ, (a, Mat.zeros(QQ, 2).sub(a.transpose())))
+    assert in_sp(levi)
+    assert not in_sp(remark_quadric_matrix(1, 2, 3, 5, 7))
+    # [[A, B], [C, -tA]] with B, C symmetric spans sp_2n, and conjugation by
+    # an element of Sp_2n keeps it there
     rng = random.Random(2)
-    for _ in range(25):
-        n = rng.randint(1, 3)
-        x = Mat(QQ, tuple(tuple(rng.randint(-3, 3) for _ in range(2 * n))
-                          for _ in range(2 * n)))
-        sp, wedge = sp_wedge_components(x)
-        assert sp.add(wedge).rows == x.rows
-        assert is_sp_element(sp)
-        assert is_wedge_element(wedge)
-        # the two subspaces meet only in zero
-        if is_sp_element(x) and is_wedge_element(x):
-            assert x.is_zero()
+    for n in (1, 2, 3):
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        b, c = ([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        b = [[b[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        c = [[c[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        x = Mat(QQ, [a[i] + b[i] for i in range(n)]
+                + [c[i] + [-a[j][i] for j in range(n)] for i in range(n)])
+        assert in_sp(x) and not x.is_zero()
+        for s in (random_sp(n, rng), embed_gl_in_sp(random_gl(n, rng))):
+            assert in_sp(s.mul(x).mul(inverse(s)))
 
 
 def test_embed_phi_examples():
@@ -160,7 +168,7 @@ def test_semisimple_powers_stay_wedge():
     power = Mat.identity(QQ, 6)
     for _ in range(4):
         power = power.mul(e.x)
-        assert is_wedge_element(power)
+        assert has_wedge_block_form(power)
 
 
 def test_exotic_element_validation():
@@ -176,12 +184,12 @@ def test_exotic_element_validation():
 
 def test_symplectic_form():
     om = omega_matrix(QQ, 2)
-    assert om.transpose().rows == om.scale(-1).rows
+    assert om.transpose() == Mat.zeros(QQ, 4).sub(om)
     assert inverse(om) is not None
     # the form spans the trivial submodule of the wedge square; under the
     # self-adjoint identification it is the identity matrix
     gen = Mat.identity(QQ, 4)
-    assert is_wedge_element(gen)
+    assert has_wedge_block_form(gen)
     s = random_gl(2, random.Random(1))
     sp = embed_gl_in_sp(s)
     assert sp.mul(gen).mul(inverse(sp)).rows == gen.rows

@@ -5,13 +5,18 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcones.errors import BudgetExceeded, CharTwo, ModuleMismatch, NotPerfectSquare
+from nilcones.errors import BudgetExceeded, CharTwo, NotPerfectSquare
 from nilcones.fields import GF, QQ
 from nilcones.linalg import Mat, Vec, charpoly, inverse, random_gl, random_sp
 from nilcones.partitions import Bipartition, enumerate_bipartitions
 from nilcones.enhanced import EnhancedElement, act, build_representative
 from nilcones.exotic import ExoticElement, build_semisimple_exotic, embed_phi
-from nilcones.jordan_classes import ClassLabel, class_nilcone_orbit, enumerate_classes
+from nilcones.jordan_classes import (
+    ClassLabel,
+    class_nilcone_orbit,
+    class_orbit_dim,
+    enumerate_classes,
+)
 from nilcones.sheets import (
     VEC,
     ZERO,
@@ -22,8 +27,6 @@ from nilcones.sheets import (
     enumerate_sheets,
     exotic_invariants,
     fiber_census,
-    rank_stratum,
-    same_fiber,
     sheet_class_label,
     sheet_count_formula,
     sheet_dim_enhanced,
@@ -85,15 +88,14 @@ def test_sheet_doubling_transfer():
 
 
 def test_rank_strata():
+    # the orbit dimension splits the classes into the rank strata
     for n in (2, 3, 4):
-        classes = enumerate_classes(n)
-        seen = []
-        for k in range(n * n + n + 1):
-            seen.extend(rank_stratum(n, k))
-        assert sorted(map(str, seen)) == sorted(map(str, classes))
+        strata = {}
+        for c in enumerate_classes(n):
+            strata.setdefault(class_orbit_dim(c), []).append(c)
+        assert all(0 <= k < n * n + n for k in strata)
         # the only fixed points are the scalar pairs (0, a.id): one class
-        assert rank_stratum(n, 0) == [ClassLabel((n,), (B((), (1,) * n),))]
-        assert rank_stratum(n, n * n + n) == []
+        assert strata[0] == [ClassLabel((n,), (B((), (1,) * n),))]
 
 
 def test_sheets_are_maximal():
@@ -232,16 +234,13 @@ def test_exotic_invariants_match_fraction_reference():
 
 
 def test_same_fiber():
+    # the vector part contributes no invariants: pairs that differ only in v
+    # map to the same point of the quotient
     e = EnhancedElement(2, Vec(QQ, (1, 0)), Mat(QQ, ((1, 0), (0, 2))))
-    assert same_fiber(e, e)
     other = EnhancedElement(2, Vec(QQ, (9, 9)), e.x)
-    assert same_fiber(e, other)
+    assert enhanced_invariants(e) == enhanced_invariants(other)
     nil = EnhancedElement(2, Vec(QQ, (1, 0)), Mat(QQ, ((0, 1), (0, 0))))
-    assert not same_fiber(e, nil)
-    with pytest.raises(ModuleMismatch):
-        same_fiber(e, embed_phi(e))
-    with pytest.raises(ModuleMismatch):
-        same_fiber(e, EnhancedElement(2, Vec.zero(GF(3), 2), Mat.zeros(GF(3), 2)))
+    assert enhanced_invariants(e) != enhanced_invariants(nil)
 
 
 def test_invariants_vanish_iff_nilpotent():

@@ -50,6 +50,51 @@ def test_library_has_no_assert():
                 f"{path.name}:{node.lineno}"
 
 
+def test_every_public_name_has_a_caller():
+    # A public function or class, or a public method, that no other code of
+    # the package names is API only tests use: the library's traffic is the
+    # CLI, the verify suites and the benchmark workloads, which reach it
+    # through the package.  Names are matched in the syntax tree (Name and
+    # Attribute nodes, methods by their bare name), so a docstring or a
+    # comment that mentions a name does not count, and neither do the
+    # exports of __init__ or a function's calls to itself.
+    kept = {
+        # perfbench/spans.LAYERS traces it
+        "rref",
+        # the field-generic reference the characteristic polynomial is
+        # tested against
+        "det",
+        # perfbench/spans.FIELD_METHODS wraps them by name
+        "RationalField.div", "PrimeField.div",
+        # the Levi generators of an Sp_2n(F_p) orbit walk (ROADMAP item 2)
+        "embed_gl_in_sp",
+        # exotic representatives of the semisimple classes for the class
+        # dimension check (ROADMAP item 3)
+        "build_semisimple_exotic",
+    }
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(Path(nilcones.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"}
+    definitions = []  # (qualified name, bare name, node)
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                definitions.append((node.name, node.name, node))
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        definitions.append((f"{node.name}.{item.name}", item.name, item))
+    references = {}  # bare name -> ids of the nodes that name it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, set()).add(id(node))
+    uncalled = {qualified for qualified, name, node in definitions
+                if not references.get(name, set()) - {id(n) for n in ast.walk(node)}}
+    assert uncalled == kept
+
+
 def test_a_check_that_counted_nothing_is_skipped_not_passed(monkeypatch):
     from nilcones import verify
 
