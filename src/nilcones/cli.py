@@ -352,6 +352,15 @@ def _rank(text):
     return n
 
 
+def _prime(text):
+    """The value of --p: a prime that GF accepts (argparse exits 2 on
+    anything else)."""
+    try:
+        return GF(int(text)).p
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @cache
 def build_parser():
     """The argument parser, built once per process: parse_args keeps its
@@ -397,7 +406,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run one verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--n", type=_rank, default=3)
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=_prime, default=2)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, InvariantViolation, NotRigidDatum, SizeMismatch
-from .fields import GF, QQ
+from .fields import QQ
 from .linalg import (
     Mat,
     Vec,
@@ -37,7 +37,7 @@ from .partitions import (
     transpose,
 )
 
-FLAG_ORACLE_BUDGET_N = 4
+FLAG_ORACLE_BUDGET_N = 6
 SWEEP_ORACLE_BUDGET_N = 3
 ORACLE_PRIMES = (2, 3)
 
@@ -77,29 +77,29 @@ def orbit_dim(b):
     return n * n - sum(c * c for c in lam_tr) + sum(b.mu)
 
 
-def build_representative(b, field=QQ):
-    """Normal-form representative of the orbit labelled b.
-
-    x is in Jordan form with chain i of length mu_i + nu_i, and v is the
-    sum of the depth-mu_i basis vector of each of the first l(mu) chains.
-    """
-    mu, nu = b.mu, b.nu
-    lam = add(mu, nu)
+def _normal_form(b):
+    """(int rows of x, int entries of v) of the normal form of b: x is in
+    Jordan form with chain i of length mu_i + nu_i, and v is the sum of the
+    depth-mu_i basis vector of each of the first l(mu) chains.  The
+    entries are 0 and 1, so they hold over every field."""
     n = b.n
-    offsets = []
+    rows = [[0] * n for _ in range(n)]
+    ventries = [0] * n
     off = 0
-    for length in lam:
-        offsets.append(off)
+    for i, length in enumerate(add(b.mu, b.nu)):
+        for j in range(off + 1, off + length):
+            rows[j - 1][j] = 1
+        if i < len(b.mu):
+            ventries[off + b.mu[i] - 1] = 1
         off += length
-    rows = [[field.zero] * n for _ in range(n)]
-    for i, length in enumerate(lam):
-        for j in range(1, length):
-            rows[offsets[i] + j - 1][offsets[i] + j] = field.one
-    ventries = [field.zero] * n
-    for i in range(len(mu)):
-        ventries[offsets[i] + mu[i] - 1] = field.one
-    return EnhancedElement(n, Vec(field, tuple(ventries)),
-                           Mat(field, tuple(tuple(r) for r in rows)))
+    return rows, ventries
+
+
+def build_representative(b, field=QQ):
+    """Normal-form representative of the orbit labelled b (see
+    :func:`_normal_form`)."""
+    rows, ventries = _normal_form(b)
+    return EnhancedElement(b.n, Vec._of(field, ventries), Mat._of(field, rows))
 
 
 def identify_orbit(e):
@@ -177,13 +177,18 @@ def is_rigid(b):
     return (b.mu, b.nu) in (((), ones), (ones, ())) or b.n == 0
 
 
+def _rigid_blocks(b):
+    """(block sizes, k) of :func:`rigid_datum`: the columns of mu
+    ascending, then the columns of nu ascending, the first k marked."""
+    mu_cols = sorted(transpose(b.mu))
+    return (*mu_cols, *sorted(transpose(b.nu))), len(mu_cols)
+
+
 def rigid_datum(b):
     """The unique (up to conjugacy) rigid datum inducing b: marked blocks
     are the columns of mu (ascending), unmarked blocks the columns of nu."""
-    mu_cols = tuple(sorted(transpose(b.mu)))
-    nu_cols = tuple(sorted(transpose(b.nu)))
-    comp = Composition(mu_cols + nu_cols, k=len(mu_cols))
-    return InductionDatum.rigid(comp)
+    comp, k = _rigid_blocks(b)
+    return InductionDatum.rigid(Composition(comp, k=k))
 
 
 def induction_representative(d, field=QQ):
@@ -242,6 +247,12 @@ def _subspaces_between(S, T, d, p):
     if d == s:
         yield S
         return
+    if d == t:
+        # T is the only such subspace: it is in reduced echelon form, and it
+        # holds S, as x F <= F (F holds the step x maps it into) and the
+        # vector joins S only once it is found in T
+        yield T
+        return
     # the residuals of T mod S span a complement of S in T
     complement = [row for _, row in _echelon((_residual(row, S, p) for _, row in T), p)]
     if len(complement) != t - s:
@@ -295,8 +306,7 @@ def _oracle_prelude(b_small, b_big, p, budget_n):
         raise SizeMismatch("labels have different sizes")
     if b_small.n > budget_n or p not in ORACLE_PRIMES:
         raise BudgetExceeded(f"oracle capped at n <= {budget_n}, p in {ORACLE_PRIMES}")
-    rep = build_representative(b_small, field=GF(p))
-    return rep.x.num, rep.v.num
+    return _normal_form(b_small)
 
 
 def closure_oracle_flag(b_small, b_big, p, alt_order=False):
@@ -311,11 +321,10 @@ def closure_oracle_flag(b_small, b_big, p, alt_order=False):
     change the answer.
     """
     xrows, ventries = _oracle_prelude(b_small, b_big, p, FLAG_ORACLE_BUDGET_N)
-    datum = rigid_datum(b_big)
-    comp, k = list(datum.composition.parts), datum.composition.k
+    comp, k = _rigid_blocks(b_big)
     if alt_order:
-        comp = sorted(comp[:k], reverse=True) + sorted(comp[k:], reverse=True)
-    return _flag_witness_exists(xrows, ventries, tuple(comp), k, p)
+        comp = comp[:k][::-1] + comp[k:][::-1]
+    return _flag_witness_exists(xrows, ventries, comp, k, p)
 
 
 def _conjugations(n, p):
@@ -388,8 +397,8 @@ def _orbit_walk(xrows, ventries, p):
     points themselves.
     """
     maps = _conjugations(len(ventries), p)
-    vs, v_next = _orbit_table(tuple(int(e) for e in ventries), [g for g, _ in maps])
-    xs, x_next = _orbit_table(tuple(int(e) for row in xrows for e in row), [h for _, h in maps])
+    vs, v_next = _orbit_table(tuple(ventries), [g for g, _ in maps])
+    xs, x_next = _orbit_table(tuple(e for row in xrows for e in row), [h for _, h in maps])
     size = len(xs)
     seen = bytearray(len(vs) * size)
     seen[0] = 1
@@ -420,8 +429,7 @@ def closure_oracle_sweep(b_small, b_big, p):
     1992); det diag(z, 1, ..., 1) = z generates F_p^*.
     """
     xrows, ventries = _oracle_prelude(b_small, b_big, p, SWEEP_ORACLE_BUDGET_N)
-    datum = rigid_datum(b_big)
-    comp, k = datum.composition.parts, datum.composition.k
+    comp, k = _rigid_blocks(b_big)
     n = b_small.n
     block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
     # flat indices that must vanish: v outside the marked blocks, x on and

@@ -30,6 +30,7 @@ from .jordan_classes import (
     class_closure_leq,
     class_orbit_dim,
     enumerate_classes,
+    merge_exists,
 )
 from .linalg import Mat, Vec, _charpoly_ints, charpoly
 from .partitions import (
@@ -144,10 +145,22 @@ def sheets_are_maximal_check(n):
     strata = {}
     for c in classes:
         strata.setdefault(class_orbit_dim(c), []).append(c)
+    # class_closure_leq(c, c2) needs the parts of lam(c2) to group onto the
+    # parts of lam(c) with sums respected.  That is its merge search with
+    # every target accepted, which reads the partitions alone, so it is
+    # decided once per pair of partitions; most pairs in a stratum fail it.
+    merges = {}
+
+    def below(c, c2):
+        key = c.lam, c2.lam
+        if key not in merges:
+            merges[key] = merge_exists(c, c2, lambda target, induced: True)
+        return merges[key] and class_closure_leq(c, c2)
+
     maximal = set()
     for group in strata.values():
         for c in group:
-            if not any(c2 != c and class_closure_leq(c, c2) for c2 in group):
+            if not any(c2 is not c and below(c, c2) for c2 in group):
                 maximal.add(c)
     sheet_classes = {sheet_class_label(s) for s in enumerate_sheets(n)}
     return maximal == sheet_classes

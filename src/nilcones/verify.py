@@ -16,7 +16,7 @@ import time
 from itertools import product
 
 from .errors import BudgetExceeded
-from .fields import GF, QQ
+from .fields import QQ
 from .linalg import (
     Mat,
     Vec,
@@ -48,6 +48,7 @@ from .enhanced import (
     jkv_decompose,
     orbit_dim,
     rigid_datum,
+    _normal_form,
     _orbit_walk,
 )
 from .exotic import ExoticElement, embed_phi, embed_psi, exotic_orbit_dim
@@ -180,8 +181,7 @@ def suite_closure(n, p):
                              lambda b1, b2: closure_oracle_sweep(b1, b2, p))
         # the orbits partition the p^n * p^(n^2 - n) points of the nilcone
         # (Fine-Herstein count of nilpotent matrices)
-        orbits = [set(_orbit_walk(rep.x.rows, rep.v.entries, p))
-                  for rep in (build_representative(b, GF(p)) for b in labels)]
+        orbits = [set(_orbit_walk(*_normal_form(b), p)) for b in labels]
         points = sum(map(len, orbits))
         distinct = len(set().union(*orbits))
         checker.add(f"orbits partition the {p ** (n * n)} nilcone points at n={n}, p={p}",
@@ -333,6 +333,13 @@ def suite_classes(n, seed=DEFAULT_SEED):
             bad += 1
     checker.add("identification constant along class curves and orbits",
                 bad == 0, count)
+
+    # the rank strata the maximality check groups by are read off
+    # class_orbit_dim, so each class's value is checked against n^2 minus
+    # the stabilizer dimension of a representative
+    reps = map(build_class_representative, classes)
+    bad = sum(o != n * n - stabilizer_dim_gl(r.v, r.x) for o, r in zip(orbit_dims, reps))
+    checker.add("class orbit dimensions match stabilizers", bad == 0, len(classes))
 
     checker.add("stratum-maximal classes are the sheets", sheets_are_maximal_check(n),
                 len(classes))

@@ -389,6 +389,16 @@ def test_rank_below_one_is_a_usage_error(capsys, argv):
     assert captured.out == "" and "argument --n" in captured.err
 
 
+@pytest.mark.parametrize("value", ["4", "1", "0", "-3", "2.5", "three"])
+def test_verify_p_must_be_prime(capsys, value):
+    # "--p 4" once ran the quotient suite and exited 0
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "quotient", "--n", "1", "--p", value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --p" in captured.err
+
+
 def test_build_hasse_dot_escaping():
     doc = build_hasse([1, 2], lambda a, b: a <= b, lambda x: f'q"{x}"', lambda x: x)
     assert r"\"" in doc.to_dot()

@@ -9,6 +9,7 @@ from nilcones.partitions import Bipartition, Composition, enumerate_bipartitions
 from nilcones.enhanced import (
     EnhancedElement,
     _orbit_walk,
+    _rigid_blocks,
     InductionDatum,
     act,
     build_representative,
@@ -65,6 +66,29 @@ def test_build_representative_examples():
     ones = {0, 1, 4, 5, 8, 9, 11}
     assert e.v.entries == tuple(QQ.one if i in ones else QQ.zero for i in range(13))
     assert e.x == build_representative(b).x
+
+
+def test_build_representative_matches_public_constructors():
+    # the normal form built through the validating constructors Mat and Vec
+    # from field scalars, as build_representative once did
+    def rebuilt(b, field):
+        n = b.n
+        lam = [m + u for m, u in zip(b.mu + (0,) * n, b.nu + (0,) * n) if m + u]
+        offsets = [sum(lam[:i]) for i in range(len(lam))]
+        rows = [[field.zero] * n for _ in range(n)]
+        for off, length in zip(offsets, lam):
+            for j in range(1, length):
+                rows[off + j - 1][off + j] = field.one
+        ventries = [field.zero] * n
+        for off, m in zip(offsets, b.mu):
+            ventries[off + m - 1] = field.one
+        return EnhancedElement(n, Vec(field, tuple(ventries)),
+                               Mat(field, tuple(tuple(r) for r in rows)))
+
+    for field in (QQ, GF(2), GF(3), GF(7)):
+        for n in range(9):
+            for b in enumerate_bipartitions(n):
+                assert build_representative(b, field) == rebuilt(b, field), (b, field)
 
 
 def test_identify_orbit_round_trip():
@@ -154,6 +178,13 @@ def test_induction_representative():
     assert identify_orbit(induction_representative(general)) == induce(general)
 
 
+def test_rigid_blocks_match_rigid_datum():
+    for n in range(9):
+        for b in enumerate_bipartitions(n):
+            comp = rigid_datum(b).composition
+            assert _rigid_blocks(b) == (comp.parts, comp.k), b
+
+
 def test_rigidity():
     assert is_rigid(B((1, 1), ()))
     assert not is_rigid(B((), (2,)))
@@ -192,7 +223,7 @@ def test_closure_examples():
     with pytest.raises(SizeMismatch):
         closure_oracle_flag(B((1,), ()), B((2,), ()), 2)
     with pytest.raises(BudgetExceeded):
-        closure_oracle_flag(B((5,), ()), B((5,), ()), 2)
+        closure_oracle_flag(B((7,), ()), B((7,), ()), 2)
     with pytest.raises(BudgetExceeded):
         closure_oracle_flag(B((1,), ()), B((1,), ()), 5)
     with pytest.raises(BudgetExceeded):
@@ -206,6 +237,32 @@ def test_closure_rule_against_flag_oracle_small():
             for b1 in labels:
                 for b2 in labels:
                     assert closure_oracle_flag(b1, b2, p) == closure_leq(b1, b2), (b1, b2, p)
+
+
+def test_closure_rule_against_flag_oracle_n5():
+    # n = 5 is certified in both block orders; n = 6 runs in the CI verify steps
+    labels = enumerate_bipartitions(5)
+    for p in (2, 3):
+        for b1 in labels:
+            for b2 in labels:
+                rule = closure_leq(b1, b2)
+                assert closure_oracle_flag(b1, b2, p) == rule, (b1, b2, p)
+                assert closure_oracle_flag(b1, b2, p, alt_order=True) == rule, (b1, b2, p)
+
+
+def test_flag_oracle_matches_baseline(baseline):
+    # the pinned benchmark baseline builds the representative through the
+    # public constructors and the blocks through rigid_datum
+    old_b = baseline.partitions.Bipartition
+    for n in range(1, 5):
+        labels = enumerate_bipartitions(n)
+        for p in (2, 3):
+            for b1 in labels:
+                for b2 in labels:
+                    for alt in (False, True):
+                        assert closure_oracle_flag(b1, b2, p, alt) == \
+                            baseline.enhanced.closure_oracle_flag(
+                                old_b(b1.mu, b1.nu), old_b(b2.mu, b2.nu), p, alt), (b1, b2, p, alt)
 
 
 def test_closure_oracles_agree_n2():

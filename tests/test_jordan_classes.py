@@ -7,7 +7,7 @@ import pytest
 
 from nilcones.errors import NonSplitSpectrum, RepeatedEigenvalue, SizeMismatch
 from nilcones.fields import GF, QQ
-from nilcones.linalg import Mat, Vec, inverse, random_gl, random_sp
+from nilcones.linalg import Mat, Vec, inverse, random_gl, random_sp, stabilizer_dim_gl
 from nilcones.partitions import (
     Bipartition,
     _prefix_sums,
@@ -219,6 +219,14 @@ def test_orbit_dim_of_class():
     for n in (2, 3):
         for c in enumerate_classes(n):
             assert class_orbit_dim(c) == class_dim_enhanced(c) - len(c.lam)
+
+
+def test_class_orbit_dim_matches_stabilizer():
+    # the rank strata of the maximality check are read off class_orbit_dim
+    for n in range(1, 6):
+        for c in enumerate_classes(n):
+            rep = build_class_representative(c)
+            assert class_orbit_dim(c) == n * n - stabilizer_dim_gl(rep.v, rep.x), c
 
 
 def test_format():

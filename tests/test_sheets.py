@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -13,9 +14,11 @@ from nilcones.enhanced import EnhancedElement, act, build_representative
 from nilcones.exotic import ExoticElement, build_semisimple_exotic, embed_phi
 from nilcones.jordan_classes import (
     ClassLabel,
+    class_closure_leq,
     class_nilcone_orbit,
     class_orbit_dim,
     enumerate_classes,
+    merge_exists,
 )
 from nilcones.sheets import (
     VEC,
@@ -101,8 +104,45 @@ def test_rank_strata():
 def test_sheets_are_maximal():
     for n in range(1, 8):
         assert sheets_are_maximal_check(n)
+        # the scan without the partition-merge filter, as the check once ran
+        strata = {}
+        for c in enumerate_classes(n):
+            strata.setdefault(class_orbit_dim(c), []).append(c)
+        maximal = {c for group in strata.values() for c in group
+                   if not any(c2 != c and class_closure_leq(c, c2) for c2 in group)}
+        assert maximal == {sheet_class_label(s) for s in enumerate_sheets(n)}, n
     with pytest.raises(BudgetExceeded):
         sheets_are_maximal_check(8)
+
+
+def parts_merge_reference(lam1, lam2):
+    """Every assignment of the parts of lam2 to the parts of lam1, tried
+    until one fills each part of lam1 exactly."""
+    return any(all(sum(q for q, t in zip(lam2, a) if t == i) == part
+                   for i, part in enumerate(lam1))
+               for a in product(range(len(lam1)), repeat=len(lam2)))
+
+
+def test_partition_merge_filter_is_necessary():
+    # sheets_are_maximal_check skips the pairs whose partitions fail
+    # merge_exists with every target accepted
+    for n in range(1, 7):
+        by_lam = {}
+        for c in enumerate_classes(n):
+            by_lam.setdefault(c.lam, []).append(c)
+        for lam1, group1 in by_lam.items():
+            for lam2, group2 in by_lam.items():
+                merges = parts_merge_reference(lam1, lam2)
+                # the filter is the reference's answer on every pair of
+                # classes (n <= 5) or on the first of each pair of
+                # partitions, and class_closure_leq rejects every pair it
+                # rejects
+                pairs = product(group1, group2) if n <= 5 else [(group1[0], group2[0])]
+                assert all(merge_exists(c1, c2, lambda target, induced: True) == merges
+                           for c1, c2 in pairs), (lam1, lam2)
+                if not merges:
+                    assert not any(class_closure_leq(c1, c2)
+                                   for c1 in group1 for c2 in group2), (lam1, lam2)
 
 
 def test_enhanced_invariants():
