@@ -177,7 +177,10 @@ class HasseDocument:
 
 
 def build_hasse(items, leq, label_fn, dim_fn):
-    """Covering relation of a finite poset given by a comparison oracle."""
+    """Covering relation of a finite poset given by a comparison oracle:
+    N^2 comparisons and an N^3 reduction, so capped at 1,000 nodes."""
+    if len(items) > 1000:
+        raise BudgetExceeded(f"hasse diagram capped at 1,000 nodes, not {len(items)}")
     strictly_less = [[leq(a, b) and a != b for b in items] for a in items]
     edges = []
     for i, a in enumerate(items):

@@ -12,7 +12,7 @@ part of the enhanced one while keeping the central part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations_with_replacement, product
 from math import comb
 from operator import add
@@ -193,21 +193,16 @@ def _eigen_blocks(x):
     return p_inv, blocks
 
 
-def _eigen_block_data(split, v):
-    """Split (v, x) along the generalized eigenspaces of x, given
-    split = _eigen_blocks(x); returns a list of (multiplicity, block
-    EnhancedElement with nilpotent matrix)."""
+def _class_label(split, v):
+    """Class label of (v, x), given split = _eigen_blocks(x): the block of
+    (v, x) on each generalized eigenspace, with its nilpotent matrix, is
+    identified as an enhanced orbit of its own size."""
     p_inv, blocks = split
     coords = p_inv.mul_vec(v)
-    return [(end - off, EnhancedElement(end - off, Vec._of(v.field, coords.num[off:end],
-                                                             coords.den), block))
-            for off, end, block in blocks]
-
-
-def _class_label(split, v):
-    """Class label of (v, x), given split = _eigen_blocks(x)."""
-    data = _eigen_block_data(split, v)
-    return ClassLabel(tuple(m for m, _ in data), tuple(identify_orbit(b) for _, b in data))
+    return ClassLabel(tuple(end - off for off, end, _ in blocks), tuple(
+        identify_orbit(EnhancedElement(end - off, Vec._of(v.field, coords.num[off:end],
+                                                          coords.den), block))
+        for off, end, block in blocks))
 
 
 def identify_class(e):
@@ -218,23 +213,17 @@ def identify_class(e):
 
 
 def identify_exotic_class(e):
-    """Class label of an exotic element: eigenvalue multiplicities are all
-    even and halve to lam; each block identifies through its doubled
-    enhanced label."""
+    """Class label of an exotic element: the GL_2n class label of its
+    embedding, halved (NotDoubled if its parts or blocks are not doubled)."""
     big = embed_psi(e)
-    data = _eigen_block_data(_eigen_blocks(big.x), big.v)
-    lam = []
-    blocks = []
-    for m, block in data:
-        if m % 2:
-            raise NotDoubled(f"eigenvalue multiplicity {m} is odd")
-        lam.append(m // 2)
-        big = identify_orbit(block)
-        try:
-            blocks.append(halve(big))
-        except ValueError as exc:
-            raise NotDoubled(str(exc)) from exc
-    return ClassLabel(tuple(lam), tuple(blocks))
+    label = _class_label(_eigen_blocks(big.x), big.v)
+    if any(m % 2 for m in label.lam):
+        raise NotDoubled(f"eigenvalue multiplicities {label.lam} are not all even")
+    try:
+        blocks = tuple(map(halve, label.blocks))
+    except ValueError as exc:
+        raise NotDoubled(str(exc)) from exc
+    return ClassLabel(tuple(m // 2 for m in label.lam), blocks)
 
 
 def class_closure_leq(c1, c2):
@@ -263,34 +252,44 @@ def merge_exists(c1, c2, accept):
     length 2n: target those of the part's block, induced those of the
     orbit induced from the c2 blocks merged into it, which is their
     entrywise sum.  Padded prefix sums determine the label, so
-    ``operator.eq`` asks for the induced label itself.
-
-    A backtracking search that places the c2 parts in turn.  Two parts
-    of c1 with the same target and the same sum held so far (so the same
-    room left) lead to the same searches, so only the first is tried; a
-    key without the held sum would skip merges that exist.
+    ``operator.eq`` asks for the induced label itself.  Most pairs fail on
+    their partitions alone, which :func:`_parts_merge` decides first.
     """
-    items = c2._part_sums
-    targets = c1._part_sums
-    room = [p for p, _ in targets]
-    held = [(0,) * len(s) for _, s in targets]
+    return _parts_merge(c1.lam, c2.lam) and _merge_search(
+        c2._part_sums, c1._part_sums, accept, 0, list(c1.lam),
+        [(0,) * len(s) for _, s in c1._part_sums])
 
-    def feasible(idx):
-        if idx == len(items):
-            return not any(room)
-        size, sums = items[idx]
-        seen = set()
-        for t, (_, target) in enumerate(targets):
-            before = held[t]
-            if room[t] < size or (target, before) in seen:
-                continue
-            seen.add((target, before))
-            room[t] -= size
-            held[t] = tuple(map(add, before, sums))
-            if (room[t] or accept(target, held[t])) and feasible(idx + 1):
-                return True
-            room[t] += size
-            held[t] = before
-        return False
 
-    return feasible(0)
+@cache
+def _parts_merge(lam1, lam2):
+    """The merge search on the parts alone, every target accepted; kept
+    per pair of partitions."""
+    return _merge_search([(q, (q,)) for q in lam2], [(p, (p,)) for p in lam1],
+                         lambda target, held: True, 0, list(lam1), [(0,)] * len(lam1))
+
+
+def _merge_search(items, targets, accept, idx, room, held):
+    """A backtracking search that places the items (size, sums) from idx
+    on in turn; room and held are what each target (size, target sums)
+    still takes and the sums placed on it so far.  Two targets with the
+    same target sums and the same sums held so far (so the same room left)
+    lead to the same searches, so only the first is tried; a key without
+    the held sums would skip merges that exist.
+    """
+    if idx == len(items):
+        return not any(room)
+    size, sums = items[idx]
+    seen = set()
+    for t, (_, target) in enumerate(targets):
+        before = held[t]
+        if room[t] < size or (target, before) in seen:
+            continue
+        seen.add((target, before))
+        room[t] -= size
+        held[t] = tuple(map(add, before, sums))
+        if ((room[t] or accept(target, held[t]))
+                and _merge_search(items, targets, accept, idx + 1, room, held)):
+            return True
+        room[t] += size
+        held[t] = before
+    return False

@@ -30,7 +30,6 @@ from .jordan_classes import (
     class_closure_leq,
     class_orbit_dim,
     enumerate_classes,
-    merge_exists,
 )
 from .linalg import Mat, Vec, _charpoly_ints, charpoly
 from .partitions import (
@@ -145,22 +144,10 @@ def sheets_are_maximal_check(n):
     strata = {}
     for c in classes:
         strata.setdefault(class_orbit_dim(c), []).append(c)
-    # class_closure_leq(c, c2) needs the parts of lam(c2) to group onto the
-    # parts of lam(c) with sums respected.  That is its merge search with
-    # every target accepted, which reads the partitions alone, so it is
-    # decided once per pair of partitions; most pairs in a stratum fail it.
-    merges = {}
-
-    def below(c, c2):
-        key = c.lam, c2.lam
-        if key not in merges:
-            merges[key] = merge_exists(c, c2, lambda target, induced: True)
-        return merges[key] and class_closure_leq(c, c2)
-
     maximal = set()
     for group in strata.values():
         for c in group:
-            if not any(c2 is not c and below(c, c2) for c2 in group):
+            if not any(c2 is not c and class_closure_leq(c, c2) for c2 in group):
                 maximal.add(c)
     sheet_classes = {sheet_class_label(s) for s in enumerate_sheets(n)}
     return maximal == sheet_classes
@@ -243,10 +230,10 @@ def fiber_census(n, p):
     computed once per matrix; each vector then only maps through the
     eigenbasis.  Returns (fibers, nonsplit_count): fibers maps each
     invariant vector to a dict counting class labels.  Capped at n <= 2,
-    p in {3, 5}.
+    p in {2, 3, 5}.
     """
-    if n > 2 or p not in (3, 5):
-        raise BudgetExceeded("fiber census capped at n <= 2, p in {3, 5}")
+    if n > 2 or p not in (2, 3, 5):
+        raise BudgetExceeded("fiber census capped at n <= 2, p in {2, 3, 5}")
     field = GF(p)
     vectors = [Vec(field, ventries) for ventries in product(range(p), repeat=n)]
     fibers = {}

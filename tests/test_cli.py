@@ -15,7 +15,7 @@ from nilcones.cli import (
     main,
     parse_element_document,
 )
-from nilcones.errors import ParseError
+from nilcones.errors import BudgetExceeded, ParseError
 from nilcones.fields import GF, QQ
 from nilcones.linalg import Mat, Vec
 from nilcones.partitions import Composition, enumerate_bipartitions
@@ -297,6 +297,22 @@ def test_cmd_hasse(capsys, tmp_path):
     assert main(["hasse", "--n", "2", "--kind", "sheets"]) == 0
     out = capsys.readouterr().out
     assert out.count("[label=") == 5 and "->" not in out
+
+
+def test_hasse_over_budget_exits_3_before_comparing(capsys):
+    calls = []
+
+    def leq(a, b):
+        calls.append((a, b))
+        return a <= b
+
+    with pytest.raises(BudgetExceeded):
+        build_hasse(list(range(1001)), leq, str, str)
+    assert calls == []
+    # 24,842 orbit labels at n = 20: N^2 comparisons would not finish
+    assert main(["hasse", "--n", "20", "--kind", "orbits"]) == 3
+    assert capsys.readouterr().out == ""
+    assert main(["hasse", "--n", "8", "--kind", "classes"]) == 3
 
 
 def test_hasse_transitive_reduction():

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,16 +10,16 @@ from hypothesis import given, settings, strategies as st
 from nilcones.errors import BudgetExceeded, CharTwo, NotPerfectSquare
 from nilcones.fields import GF, QQ
 from nilcones.linalg import Mat, Vec, charpoly, inverse, random_gl, random_sp
-from nilcones.partitions import Bipartition, enumerate_bipartitions
+from nilcones.partitions import Bipartition, _sums_leq, enumerate_bipartitions, partitions_of
 from nilcones.enhanced import EnhancedElement, act, build_representative
 from nilcones.exotic import ExoticElement, build_semisimple_exotic, embed_phi
 from nilcones.jordan_classes import (
     ClassLabel,
-    class_closure_leq,
+    _merge_search,
+    _parts_merge,
     class_nilcone_orbit,
     class_orbit_dim,
     enumerate_classes,
-    merge_exists,
 )
 from nilcones.sheets import (
     VEC,
@@ -103,14 +104,7 @@ def test_rank_strata():
 
 def test_sheets_are_maximal():
     for n in range(1, 8):
-        assert sheets_are_maximal_check(n)
-        # the scan without the partition-merge filter, as the check once ran
-        strata = {}
-        for c in enumerate_classes(n):
-            strata.setdefault(class_orbit_dim(c), []).append(c)
-        maximal = {c for group in strata.values() for c in group
-                   if not any(c2 != c and class_closure_leq(c, c2) for c2 in group)}
-        assert maximal == {sheet_class_label(s) for s in enumerate_sheets(n)}, n
+        assert sheets_are_maximal_check(n), n
     with pytest.raises(BudgetExceeded):
         sheets_are_maximal_check(8)
 
@@ -124,25 +118,36 @@ def parts_merge_reference(lam1, lam2):
 
 
 def test_partition_merge_filter_is_necessary():
-    # sheets_are_maximal_check skips the pairs whose partitions fail
-    # merge_exists with every target accepted
+    # merge_exists refuses the pairs whose partitions fail _parts_merge
+    # without a search, so _parts_merge must be the reference's answer, and
+    # the search of class_closure_leq, run without that test, must reject
+    # every pair of classes it rejects
+    for n in range(1, 8):
+        for lam1, lam2 in product(partitions_of(n), repeat=2):
+            assert _parts_merge(lam1, lam2) == parts_merge_reference(lam1, lam2), (lam1, lam2)
     for n in range(1, 7):
         by_lam = {}
         for c in enumerate_classes(n):
             by_lam.setdefault(c.lam, []).append(c)
-        for lam1, group1 in by_lam.items():
-            for lam2, group2 in by_lam.items():
-                merges = parts_merge_reference(lam1, lam2)
-                # the filter is the reference's answer on every pair of
-                # classes (n <= 5) or on the first of each pair of
-                # partitions, and class_closure_leq rejects every pair it
-                # rejects
-                pairs = product(group1, group2) if n <= 5 else [(group1[0], group2[0])]
-                assert all(merge_exists(c1, c2, lambda target, induced: True) == merges
-                           for c1, c2 in pairs), (lam1, lam2)
-                if not merges:
-                    assert not any(class_closure_leq(c1, c2)
-                                   for c1 in group1 for c2 in group2), (lam1, lam2)
+        for (lam1, group1), (lam2, group2) in product(by_lam.items(), repeat=2):
+            if not parts_merge_reference(lam1, lam2):
+                assert not any(_merge_search(c2._part_sums, c1._part_sums, _sums_leq, 0,
+                                             list(c1.lam),
+                                             [(0,) * len(t) for _, t in c1._part_sums])
+                               for c1 in group1 for c2 in group2), (lam1, lam2)
+
+
+def test_maximality_check_leaves_no_garbage():
+    # the merge search once was a nested function that held itself through
+    # its closure, so every call left a reference cycle (64,004 objects
+    # from one check at n = 6)
+    gc.collect()
+    gc.disable()
+    try:
+        assert sheets_are_maximal_check(6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enhanced_invariants():
@@ -313,8 +318,16 @@ def test_fiber_census():
     assert len(fibers5) == 25
     assert nonsplit5 == (5 ** 2 - 5) ** 2 // 2 * 5 ** 2 == 5000
     assert sum(sum(d.values()) for d in fibers5.values()) + nonsplit5 == 5 ** 6
+    # over F_2 the one irreducible quadratic t^2 + t + 1 gives the only
+    # non-split fiber: 4 fibers, 64 points, 8 of them non-split
+    fibers2, nonsplit2 = fiber_census(2, 2)
+    assert len(fibers2) == 2 ** 2
+    assert nonsplit2 == (2 ** 2 - 2) ** 2 // 2 * 2 ** 2 == 8
+    assert sum(sum(d.values()) for d in fibers2.values()) + nonsplit2 == 2 ** 6
     with pytest.raises(BudgetExceeded):
         fiber_census(3, 3)
+    with pytest.raises(BudgetExceeded):
+        fiber_census(2, 7)
 
 
 def test_invariant_vector_type():

@@ -118,3 +118,16 @@ def test_classes_suite_counts_every_check_at_the_top_of_its_budget():
     assert counts["identification constant along class curves and orbits"] == IDENTIFY_SAMPLE
     assert counts["closure order is dimension monotone"] == 10874
     assert counts["equal-dimension pairs match the dense-sheet criterion"] == 4416
+
+
+def test_quotient_suite_runs_the_fiber_census_or_reports_it_skipped():
+    # the census once ran only for n <= 2 and p in {3, 5} and was otherwise
+    # left out of the report without a record
+    census = run_suite("quotient", 4, 3)["checks"][-1]
+    assert census["name"] == "fiber census at n=2 over F_3: 9 fibers, 162 non-split points"
+    assert census["status"] == "pass" and census["count"] == 3 ** 6
+    report = run_suite("quotient", 2, 7)
+    census = report["checks"][-1]
+    assert census["name"] == "fiber census at n=2 over F_7"
+    assert census["status"] == "skipped" and census["count"] == 0
+    assert not report["passed"]
