@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, InvariantViolation, NotRigidDatum, SizeMismatch
@@ -21,7 +22,7 @@ from .linalg import (
     Vec,
     _echelon,
     _echelon_insert,
-    _free_column_basis,
+    _preimage,
     _residual,
     echelon_patterns,
     inverse,
@@ -37,7 +38,7 @@ from .partitions import (
     transpose,
 )
 
-FLAG_ORACLE_BUDGET_N = 6
+FLAG_ORACLE_BUDGET_N = 7
 SWEEP_ORACLE_BUDGET_N = 3
 ORACLE_PRIMES = (2, 3)
 
@@ -263,42 +264,38 @@ def _subspaces_between(S, T, d, p):
         yield _echelon(lifted, p, S)
 
 
+def _flag_search(i, F, x_cols, ventries, dims, k, p, failed):
+    """True iff the flag whose step i - 1 is F (reduced echelon rows) extends
+    to steps i, i + 1, ... of dimensions dims[i], ... with x mapping each
+    step into the one before it and the vector in step k.  ``failed`` holds
+    the states (i, F) already refuted in this search."""
+    if i == len(dims):
+        return True
+    state = (i, F)
+    if state in failed:
+        return False
+    T = _preimage(x_cols, F, p)
+    S = F
+    if i + 1 == k:
+        if any(_residual(ventries, T, p)):
+            failed.add(state)
+            return False
+        S = _echelon_insert(F, ventries, p)
+    for F_next in _subspaces_between(S, T, dims[i], p):
+        if _flag_search(i + 1, F_next, x_cols, ventries, dims, k, p, failed):
+            return True
+    failed.add(state)
+    return False
+
+
 def _flag_witness_exists(xrows, ventries, comp, k, p):
     """Search for a partial flag with jumps comp such that x drops each step
     down one and the vector lies in step k."""
-    n = len(ventries)
-    dims = []
-    acc = 0
-    for c in comp:
-        acc += c
-        dims.append(acc)
     if k == 0 and any(ventries):
         return False
-    x_cols = [tuple(xrows[i][j] for i in range(n)) for j in range(n)]
-    failed = set()
-
-    def rec(i, F):
-        if i == len(comp):
-            return True
-        state = (i, F)
-        if state in failed:
-            return False
-        # T = {y : x y in F}, the kernel of y -> x y mod F
-        constraint = _echelon(zip(*(_residual(col, F, p) for col in x_cols)), p)
-        T = _echelon(_free_column_basis(constraint, n, p), p)
-        S = F
-        if i + 1 == k:
-            if any(_residual(ventries, T, p)):
-                failed.add(state)
-                return False
-            S = _echelon_insert(F, ventries, p)
-        for F_next in _subspaces_between(S, T, dims[i], p):
-            if rec(i + 1, F_next):
-                return True
-        failed.add(state)
-        return False
-
-    return rec(0, ())
+    dims = list(accumulate(comp))
+    x_cols = list(zip(*xrows))
+    return _flag_search(0, (), x_cols, ventries, dims, k, p, set())
 
 
 def _oracle_prelude(b_small, b_big, p, budget_n):
@@ -386,24 +383,28 @@ def _orbit_table(start, maps):
     return points, successors
 
 
-def _orbit_walk(xrows, ventries, p):
-    """Breadth-first walk of the GL_n(F_p)-orbit of (v, x) under the maps of
-    :func:`_conjugations`: yields each orbit point once, as the flat tuple
-    v + rows of x, starting with (v, x) itself.
-
-    The group acts on v and on x apart, so the walk first tabulates the
-    orbit of v and the orbit of x, and then walks pairs of their indices:
-    it holds a byte per pair and a queue entry per orbit point, not the
-    points themselves.
-    """
+def _orbit_tables(xrows, ventries, p):
+    """(vs, v_next, xs, x_next): the :func:`_orbit_table` of v and of the
+    flat tuple of the rows of x under the maps of :func:`_conjugations`."""
     maps = _conjugations(len(ventries), p)
     vs, v_next = _orbit_table(tuple(ventries), [g for g, _ in maps])
     xs, x_next = _orbit_table(tuple(e for row in xrows for e in row), [h for _, h in maps])
-    size = len(xs)
-    seen = bytearray(len(vs) * size)
+    return vs, v_next, xs, x_next
+
+
+def _orbit_pairs(v_next, x_next, size):
+    """Breadth-first walk of the index pairs (vi, xi) of the orbit points,
+    from (0, 0), each once: v_next and x_next are the successor tables of
+    the v-orbit and of the x-orbit (of ``size`` points) under the same maps.
+
+    The group acts on v and on x apart, so one orbit point is one pair of
+    indices: the walk holds a byte per pair and a queue entry per orbit
+    point, not the points themselves.
+    """
+    seen = bytearray((len(v_next[0]) if v_next else 1) * size)
     seen[0] = 1
     queue = array("i", [0])
-    yield vs[0] + xs[0]
+    yield 0, 0
     for code in queue:
         vi, xi = divmod(code, size)
         for v_row, x_row in zip(v_next, x_next):
@@ -412,7 +413,17 @@ def _orbit_walk(xrows, ventries, p):
             if not seen[pair]:
                 seen[pair] = 1
                 queue.append(pair)
-                yield vs[vj] + xs[xj]
+                yield vj, xj
+
+
+def _orbit_walk(xrows, ventries, p):
+    """Breadth-first walk of the GL_n(F_p)-orbit of (v, x) under the maps of
+    :func:`_conjugations`: yields each orbit point once, as the flat tuple
+    v + rows of x, starting with (v, x) itself, in the order of
+    :func:`_orbit_pairs`."""
+    vs, v_next, xs, x_next = _orbit_tables(xrows, ventries, p)
+    for vi, xi in _orbit_pairs(v_next, x_next, len(xs)):
+        yield vs[vi] + xs[xi]
 
 
 def closure_oracle_sweep(b_small, b_big, p):
@@ -426,16 +437,21 @@ def closure_oracle_sweep(b_small, b_big, p):
     primitive root.  Conjugates of the transvection by powers of the cycle,
     and their commutators, are all the elementary transvections, which
     generate SL_n(F_p) (Taylor, The Geometry of the Classical Groups,
-    1992); det diag(z, 1, ..., 1) = z generates F_p^*.
+    1992); det diag(z, 1, ..., 1) = z generates F_p^*.  The test splits
+    as the action does: whether v vanishes outside the marked blocks is
+    read once per point of the v-orbit, whether x vanishes on and below
+    the diagonal blocks once per point of the x-orbit, and the walk of
+    :func:`_orbit_pairs` looks for a pair that passes both.
     """
     xrows, ventries = _oracle_prelude(b_small, b_big, p, SWEEP_ORACLE_BUDGET_N)
     comp, k = _rigid_blocks(b_big)
     n = b_small.n
+    marked = sum(comp[:k])
     block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
-    # flat indices that must vanish: v outside the marked blocks, x on and
-    # below the diagonal blocks
-    must_vanish = [*range(sum(comp[:k]), n),
-                   *(n + n * r + c for r in range(n) for c in range(n)
-                     if block_of[r] >= block_of[c])]
-    return any(not any(map(pt.__getitem__, must_vanish))
-               for pt in _orbit_walk(xrows, ventries, p))
+    x_vanish = [n * r + c for r in range(n) for c in range(n) if block_of[r] >= block_of[c]]
+    vs, v_next, xs, x_next = _orbit_tables(xrows, ventries, p)
+    v_ok = [not any(v[marked:]) for v in vs]
+    x_ok = [not any(map(x.__getitem__, x_vanish)) for x in xs]
+    if not any(v_ok) or not any(x_ok):
+        return False
+    return any(v_ok[vi] and x_ok[xi] for vi, xi in _orbit_pairs(v_next, x_next, len(xs)))

@@ -14,7 +14,9 @@ One elimination serves each field: over Q fraction-free (Bareiss)
 elimination with exact back substitution, behind rank, rref, nullspace and
 the inverse (which runs it on F_p residues too); over F_p an incremental
 reduced echelon form on residues, behind rank, rref, nullspace and the flag
-oracle of :mod:`nilcones.enhanced`.  ``det`` is the field-generic reference.
+oracle of :mod:`nilcones.enhanced`, whose preimage step {y : x y in F} is
+one elimination of the columns x e_j mod F (:func:`_preimage`).  ``det`` is
+the field-generic reference.
 The seeded group elements carry their inverse in closed form, and
 :func:`inverse` returns it without elimination.
 """
@@ -331,6 +333,37 @@ def _echelon(vectors, p, rows=()):
     for vec in vectors:
         rows = _echelon_insert(rows, vec, p)
     return rows
+
+
+def _preimage(x_cols, F, p):
+    """The reduced echelon rows over F_p of {y : x y in span F}, the kernel
+    of y -> x y mod F, for the columns x_cols of x and reduced echelon rows F.
+
+    One elimination: the columns x e_j mod F go in from last to first, each
+    with its combination of the e_j.  A column that reduces to zero leaves a
+    kernel vector: 1 at j, and otherwise nonzero only at later columns that
+    did not reduce to zero.  So the kernel vectors are zero at each other's
+    lowest index j, and they are the reduced echelon rows of the kernel.
+    """
+    n = len(x_cols)
+    image = []  # (pivot, row with 1 at the pivot, its combination of the e_j)
+    kernel = []
+    for j in range(n - 1, -1, -1):
+        r = _residual(x_cols[j], F, p)
+        c = [0] * n
+        c[j] = 1
+        for piv, row, comb in image:
+            a = r[piv]
+            if a:
+                r = [(u - a * w) % p for u, w in zip(r, row)]
+                c = [(u - a * w) % p for u, w in zip(c, comb)]
+        lead = next(filter(None, r), 0)
+        if not lead:
+            kernel.append((j, tuple(c)))
+        else:
+            inv = pow(lead, p - 2, p)
+            image.append((r.index(lead), [a * inv % p for a in r], [a * inv % p for a in c]))
+    return tuple(reversed(kernel))
 
 
 def _reduced(m):

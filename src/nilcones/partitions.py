@@ -26,7 +26,7 @@ def positive_parts(parts):
     positive integer (a float or a Fraction is refused, never truncated)."""
     parts = tuple(parts)
     try:
-        parts = tuple(index(p) for p in parts)
+        parts = tuple(map(index, parts))
     except TypeError:
         raise ValueError(f"parts must be integers: {parts}") from None
     if any(p <= 0 for p in parts):
@@ -37,16 +37,21 @@ def positive_parts(parts):
 def check_partition(parts):
     """Validate and normalise a sequence into a partition tuple of ints."""
     parts = positive_parts(parts)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if not all(map(le, parts[1:], parts)):
         raise ValueError(f"partition parts must be weakly decreasing: {parts}")
     return parts
 
 
 def transpose(lam):
-    """Transpose partition: lam^tr_j = #{i : lam_i >= j}."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    """Transpose partition: lam^tr_j = #{i : lam_i >= j}.  The parts are
+    weakly decreasing, so that count is read off by one walk down them."""
+    out = []
+    i = len(lam)
+    for j in range(1, lam[0] + 1 if lam else 1):
+        while lam[i - 1] < j:
+            i -= 1
+        out.append(i)
+    return tuple(out)
 
 
 def add(lam, mu):

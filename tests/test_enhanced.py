@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -223,7 +224,7 @@ def test_closure_examples():
     with pytest.raises(SizeMismatch):
         closure_oracle_flag(B((1,), ()), B((2,), ()), 2)
     with pytest.raises(BudgetExceeded):
-        closure_oracle_flag(B((7,), ()), B((7,), ()), 2)
+        closure_oracle_flag(B((8,), ()), B((8,), ()), 2)
     with pytest.raises(BudgetExceeded):
         closure_oracle_flag(B((1,), ()), B((1,), ()), 5)
     with pytest.raises(BudgetExceeded):
@@ -240,7 +241,7 @@ def test_closure_rule_against_flag_oracle_small():
 
 
 def test_closure_rule_against_flag_oracle_n5():
-    # n = 5 is certified in both block orders; n = 6 runs in the CI verify steps
+    # n = 5 is certified in both block orders; n = 6 and 7 run in the CI verify steps
     labels = enumerate_bipartitions(5)
     for p in (2, 3):
         for b1 in labels:
@@ -263,6 +264,47 @@ def test_flag_oracle_matches_baseline(baseline):
                         assert closure_oracle_flag(b1, b2, p, alt) == \
                             baseline.enhanced.closure_oracle_flag(
                                 old_b(b1.mu, b1.nu), old_b(b2.mu, b2.nu), p, alt), (b1, b2, p, alt)
+
+
+def test_flag_oracle_leaves_no_garbage():
+    # the flag search takes its state as arguments, so a query leaves no
+    # reference cycle for the cyclic collector
+    labels = enumerate_bipartitions(5)
+    gc.collect()
+    gc.disable()
+    try:
+        for p, alt in ((2, False), (3, True)):
+            for b1 in labels:
+                for b2 in labels:
+                    closure_oracle_flag(b1, b2, p, alt)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def per_point_sweep(b_small, b_big, p):
+    """The sweep as one test per orbit point: the flat point v + rows of x
+    must vanish outside the marked blocks (v) and on and below the
+    diagonal blocks (x) of b_big's rigid datum."""
+    comp, k = _rigid_blocks(b_big)
+    n = b_small.n
+    block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
+    must_vanish = [*range(sum(comp[:k]), n),
+                   *(n + n * r + c for r in range(n) for c in range(n)
+                     if block_of[r] >= block_of[c])]
+    rep = build_representative(b_small, field=GF(p))
+    return any(not any(map(pt.__getitem__, must_vanish))
+               for pt in _orbit_walk(rep.x.rows, rep.v.entries, p))
+
+
+def test_sweep_matches_per_point_reference():
+    for n in (1, 2, 3):
+        labels = enumerate_bipartitions(n)
+        for p in (2, 3):
+            for b1 in labels:
+                for b2 in labels:
+                    assert closure_oracle_sweep(b1, b2, p) == per_point_sweep(b1, b2, p), \
+                        (b1, b2, p)
 
 
 def test_closure_oracles_agree_n2():

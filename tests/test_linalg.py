@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -14,6 +15,10 @@ from nilcones.fields import GF, QQ, _is_prime
 from nilcones.linalg import (
     Mat,
     Vec,
+    _echelon,
+    _free_column_basis,
+    _preimage,
+    _residual,
     charpoly,
     det,
     echelon_patterns,
@@ -276,6 +281,44 @@ def test_subspace_enumeration():
                 if len(spaces) < 2000:
                     for s in spaces:
                         assert rank(Mat(GF(p), s)) == d
+
+
+def preimage_two_step(x_cols, F, p):
+    """{y : x y in span F} as the kernel of the constraint matrix whose
+    columns are x e_j mod F: echelon the constraint, take its free-column
+    basis, echelon that."""
+    constraint = _echelon(zip(*(_residual(col, F, p) for col in x_cols)), p)
+    return _echelon(_free_column_basis(constraint, len(x_cols), p), p)
+
+
+def span_points(rows, n, p):
+    """Every point of the span of rows, by all their combinations."""
+    return {tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % p for i in range(n))
+            for coeffs in product(range(p), repeat=len(rows))}
+
+
+def test_preimage_matches_two_step_route_and_brute_force():
+    rng = random.Random(16)
+    cases = brute = 0
+    for p in (2, 3, 5):
+        for n in range(1, 7):
+            for trial in range(60):
+                zeros = 0.2 if trial % 2 else 0.75  # sparse and dense in turn
+                x_cols = [tuple(rng.randrange(p) if rng.random() >= zeros else 0
+                                for _ in range(n)) for _ in range(n)]
+                F = _echelon((tuple(rng.randrange(p) for _ in range(n))
+                              for _ in range(rng.randint(0, n))), p)
+                T = _preimage(x_cols, F, p)
+                assert T == preimage_two_step(x_cols, F, p), (p, x_cols, F)
+                cases += 1
+                if p ** n <= 729:
+                    in_F = span_points([row for _, row in F], n, p)
+                    expected = {y for y in product(range(p), repeat=n)
+                                if tuple(sum(a * col[i] for a, col in zip(y, x_cols)) % p
+                                         for i in range(n)) in in_F}
+                    assert span_points([row for _, row in T], n, p) == expected
+                    brute += 1
+    assert (cases, brute) == (1080, 960)
 
 
 def test_charpoly_examples():

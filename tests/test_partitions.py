@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +37,20 @@ def test_check_partition_rejects_bad_input():
         Bipartition((2.5,), ())
     with pytest.raises(ValueError):
         check_partition((3.0, 1))
+    # a float or a Fraction is refused, never truncated, and each refusal
+    # names the parts as given, on mu and on nu alike
+    refused = [((3.0, 1), "parts must be integers: (3.0, 1)"),
+               ((Fraction(2), 1), "parts must be integers: (Fraction(2, 1), 1)"),
+               ((2, 0), "parts must be positive: (2, 0)"),
+               ((0,), "parts must be positive: (0,)"),
+               ((3, -1), "parts must be positive: (3, -1)"),
+               ((1, 2), "partition parts must be weakly decreasing: (1, 2)"),
+               ((3, 1, 2), "partition parts must be weakly decreasing: (3, 1, 2)")]
+    for parts, message in refused:
+        for mu, nu in ((parts, ()), ((), parts)):
+            with pytest.raises(ValueError) as err:
+                Bipartition(mu, nu)
+            assert str(err.value) == message
 
 
 def test_transpose_examples():
@@ -47,6 +63,13 @@ def test_transpose_examples():
 @settings(max_examples=200, derandomize=True)
 def test_transpose_involution(lam):
     assert transpose(transpose(lam)) == lam
+
+
+def test_transpose_matches_its_definition():
+    for n in range(21):
+        for lam in partitions_of(n):
+            columns = range(1, lam[0] + 1) if lam else ()
+            assert transpose(lam) == tuple(sum(1 for p in lam if p >= j) for j in columns)
 
 
 def test_transpose_involution_large():
