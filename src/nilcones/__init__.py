@@ -47,7 +47,6 @@ from .enhanced import (
 )
 from .exotic import (
     ExoticElement,
-    build_semisimple_exotic,
     embed_phi,
     embed_psi,
     exotic_orbit_dim,

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CharTwo, NotDoubled, RepeatedEigenvalue, SizeMismatch, WedgeViolation
-from .fields import QQ
+from .errors import CharTwo, NotDoubled, SizeMismatch, WedgeViolation
 from .linalg import Mat, Vec, _with_inverse, has_wedge_block_form, inverse
 from .enhanced import EnhancedElement, identify_orbit, orbit_dim
-from .partitions import check_partition, halve
+from .partitions import halve
 
 
 def _reject_char_two(field):
@@ -92,26 +91,3 @@ def identify_exotic_orbit(e):
     except ValueError as exc:
         raise NotDoubled(str(exc)) from exc
 
-
-def build_semisimple_exotic(lam, eigenvalues, field=QQ):
-    """The semisimple normal form diag(a_1 I_{l_1}, ..., a_l I_{l_l},
-    a_1 I_{l_1}, ..., a_l I_{l_l}) with v = 0.
-
-    Its sp-stabilizer is the product of the Sp_{2 l_i}, of dimension
-    sum(2 l_i^2 + l_i).
-    """
-    _reject_char_two(field)
-    lam = check_partition(lam)
-    scalars = tuple(field.of(a) for a in eigenvalues)
-    if len(scalars) != len(lam):
-        raise SizeMismatch("need one eigenvalue per part")
-    if len(set(scalars)) != len(scalars):
-        raise RepeatedEigenvalue(f"eigenvalues must be pairwise distinct: {scalars}")
-    n = sum(lam)
-    diag = []
-    for a, m in zip(scalars, lam):
-        diag.extend([a] * m)
-    diag = diag + diag
-    rows = tuple(tuple(diag[i] if i == j else field.zero for j in range(2 * n))
-                 for i in range(2 * n))
-    return ExoticElement(n, Vec.zero(field, 2 * n), Mat(field, rows))

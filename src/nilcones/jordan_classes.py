@@ -72,7 +72,7 @@ class ClassLabel:
         object.__setattr__(c, "blocks", blocks)
         return c
 
-    @property
+    @cached_property
     def n(self):
         return sum(self.lam)
 
@@ -82,6 +82,12 @@ class ClassLabel:
         computed on first use and kept on the label."""
         length = 2 * self.n
         return [(p, _prefix_sums(b, length)) for p, b in zip(self.lam, self.blocks)]
+
+    @cached_property
+    def _nilcone_sums(self):
+        """The entrywise sum of the blocks' padded prefix sums: those of
+        :func:`class_nilcone_orbit`, as prefix sums add over block sums."""
+        return tuple(map(sum, zip(*(s for _, s in self._part_sums))))
 
     def __str__(self):
         return format_class_label(self)
@@ -252,12 +258,24 @@ def merge_exists(c1, c2, accept):
     length 2n: target those of the part's block, induced those of the
     orbit induced from the c2 blocks merged into it, which is their
     entrywise sum.  Padded prefix sums determine the label, so
-    ``operator.eq`` asks for the induced label itself.  Most pairs fail on
-    their partitions alone, which :func:`_parts_merge` decides first.
+    ``operator.eq`` asks for the induced label itself.
+
+    Two tests refuse most pairs before any search.  Most pairs fail on
+    their partitions alone, which :func:`_parts_merge` decides.  Of the
+    rest, most fail on their nilcone orbits: ``accept`` must be closed
+    under entrywise sums (``_sums_leq`` and ``operator.eq`` are), and then
+    a merge accepted part by part is accepted on the sums over all parts,
+    which are the prefix sums of the two classes' nilcone orbits
+    (``_nilcone_sums``).  So a merge forces ``accept`` on those.  The
+    geometric order needs the same under ``<=``: a class closure meets the
+    nilcone in the closure of its nilcone orbit (Borho and Kraft, Comment.
+    Math. Helv. 54, 1979), so c1 below c2 puts the nilcone orbit of c1 below
+    that of c2.
     """
-    return _parts_merge(c1.lam, c2.lam) and _merge_search(
-        c2._part_sums, c1._part_sums, accept, 0, list(c1.lam),
-        [(0,) * len(s) for _, s in c1._part_sums])
+    return (_parts_merge(c1.lam, c2.lam)
+            and accept(c1._nilcone_sums, c2._nilcone_sums)
+            and _merge_search(c2._part_sums, c1._part_sums, accept, 0, list(c1.lam),
+                              [(0,) * len(s) for _, s in c1._part_sums]))
 
 
 @cache

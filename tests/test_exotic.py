@@ -18,15 +18,24 @@ from nilcones.partitions import Bipartition, double, enumerate_bipartitions
 from nilcones.enhanced import build_representative, identify_orbit, orbit_dim
 from nilcones.exotic import (
     ExoticElement,
-    build_semisimple_exotic,
     embed_gl_in_sp,
     embed_phi,
     embed_psi,
     exotic_orbit_dim,
     identify_exotic_orbit,
 )
+from nilcones.jordan_classes import ClassLabel, build_class_representative
 
 B = Bipartition
+
+
+def semisimple_exotic(lam, eigenvalues, field=QQ):
+    """The semisimple exotic normal form diag(a_1 I_{l_1}, ..., a_1 I_{l_1},
+    ...) with v = 0: the embedding of the semisimple class's representative.
+    Its sp-stabilizer is the product of the Sp_{2 l_i}, of dimension
+    sum(2 l_i^2 + l_i)."""
+    c = ClassLabel(lam, tuple(B((), (1,) * m) for m in lam))
+    return embed_phi(build_class_representative(c, eigenvalues, field))
 
 
 def remark_quadric_matrix(a, b, c, e, f, field=QQ):
@@ -148,23 +157,23 @@ def test_dimension_doubling_oracle_small():
 
 
 def test_build_semisimple_exotic():
-    e = build_semisimple_exotic((3,), (0,))
+    e = semisimple_exotic((3,), (0,))
     assert e.x.is_zero() and e.v.is_zero()
-    e = build_semisimple_exotic((1, 1), (1, 2))
+    e = semisimple_exotic((1, 1), (1, 2))
     assert stabilizer_dim_sp(e.v, e.x) == 6
-    e = build_semisimple_exotic((2,), (5,))
+    e = semisimple_exotic((2,), (5,))
     assert e.x.rows == Mat.scalar(QQ, 4, 5).rows
     assert stabilizer_dim_sp(e.v, e.x) == 10
     with pytest.raises(RepeatedEigenvalue):
-        build_semisimple_exotic((1, 1), (3, 3))
+        semisimple_exotic((1, 1), (3, 3))
     with pytest.raises(SizeMismatch):
-        build_semisimple_exotic((1, 1), (1,))
+        semisimple_exotic((1, 1), (1,))
     with pytest.raises(CharTwo):
-        build_semisimple_exotic((1,), (1,), field=GF(2))
+        semisimple_exotic((1,), (1,), field=GF(2))
 
 
 def test_semisimple_powers_stay_wedge():
-    e = build_semisimple_exotic((2, 1), (1, 2))
+    e = semisimple_exotic((2, 1), (1, 2))
     power = Mat.identity(QQ, 6)
     for _ in range(4):
         power = power.mul(e.x)

@@ -1,4 +1,5 @@
 import gc
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,19 +8,27 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcones.errors import BudgetExceeded, CharTwo, NotPerfectSquare
+from nilcones.errors import BudgetExceeded, CharTwo, NonSplitSpectrum, NotPerfectSquare
 from nilcones.fields import GF, QQ
 from nilcones.linalg import Mat, Vec, charpoly, inverse, random_gl, random_sp
-from nilcones.partitions import Bipartition, _sums_leq, enumerate_bipartitions, partitions_of
+from nilcones.partitions import (
+    Bipartition,
+    _prefix_sums,
+    _sums_leq,
+    enumerate_bipartitions,
+    partitions_of,
+)
 from nilcones.enhanced import EnhancedElement, act, build_representative
-from nilcones.exotic import ExoticElement, build_semisimple_exotic, embed_phi
+from nilcones.exotic import ExoticElement, embed_phi
 from nilcones.jordan_classes import (
     ClassLabel,
     _merge_search,
     _parts_merge,
+    build_class_representative,
     class_nilcone_orbit,
     class_orbit_dim,
     enumerate_classes,
+    identify_class,
 )
 from nilcones.sheets import (
     VEC,
@@ -137,6 +146,22 @@ def test_partition_merge_filter_is_necessary():
                                for c1 in group1 for c2 in group2), (lam1, lam2)
 
 
+def test_nilcone_filter_is_necessary():
+    # merge_exists refuses the pairs whose nilcone orbits fail accept
+    # without a search: the search, run without that test, must reject
+    # every such pair, under both accepts its callers pass
+    for n in range(1, 7):
+        classes = enumerate_classes(n)
+        for c in classes:
+            assert c._nilcone_sums == _prefix_sums(class_nilcone_orbit(c), 2 * n), c
+        for accept in (_sums_leq, operator.eq):
+            for c1, c2 in product(classes, repeat=2):
+                if not accept(c1._nilcone_sums, c2._nilcone_sums):
+                    assert not _merge_search(c2._part_sums, c1._part_sums, accept, 0,
+                                             list(c1.lam),
+                                             [(0,) * len(t) for _, t in c1._part_sums]), (c1, c2)
+
+
 def test_maximality_check_leaves_no_garbage():
     # the merge search once was a nested function that held itself through
     # its closure, so every call left a reference cycle (64,004 objects
@@ -170,7 +195,8 @@ def test_exotic_invariants():
         for b in enumerate_bipartitions(n):
             e = build_representative(b)
             assert exotic_invariants(embed_phi(e)) == enhanced_invariants(e)
-    s = build_semisimple_exotic((1, 1), (1, 2))
+    # the semisimple exotic normal form diag(1, 2, 1, 2) with v = 0
+    s = embed_phi(build_class_representative(ClassLabel((1, 1), (B((), (1,)),) * 2), (1, 2)))
     assert exotic_invariants(s).coefficients == (QQ.of(-3), QQ.of(2))
     with pytest.raises(NotPerfectSquare):
         # (t - 1)(t - 2)(t - 3)(t - 4) is squarefree of degree 4
@@ -328,6 +354,26 @@ def test_fiber_census():
         fiber_census(3, 3)
     with pytest.raises(BudgetExceeded):
         fiber_census(2, 7)
+
+
+def test_fiber_census_matches_per_point_reference():
+    # the census identifies each distinct eigenspace key once; the
+    # reference identifies the class of every split point on its own
+    for n, p in ((1, 3), (1, 5), (2, 2), (2, 3)):
+        field = GF(p)
+        fibers = {}
+        nonsplit = 0
+        for xentries in product(range(p), repeat=n * n):
+            x = Mat(field, tuple(xentries[i * n:(i + 1) * n] for i in range(n)))
+            bucket = fibers.setdefault(tuple(charpoly(x)), {})
+            for ventries in product(range(p), repeat=n):
+                try:
+                    label = identify_class(EnhancedElement(n, Vec(field, ventries), x))
+                except NonSplitSpectrum:
+                    nonsplit += 1
+                    continue
+                bucket[label] = bucket.get(label, 0) + 1
+        assert fiber_census(n, p) == (fibers, nonsplit), (n, p)
 
 
 def test_invariant_vector_type():

@@ -68,9 +68,6 @@ def test_every_public_name_has_a_caller():
         "RationalField.div", "PrimeField.div",
         # the Levi generators of an Sp_2n(F_p) orbit walk (ROADMAP item 2)
         "embed_gl_in_sp",
-        # exotic representatives of the semisimple classes for the class
-        # dimension check (ROADMAP item 3)
-        "build_semisimple_exotic",
     }
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in sorted(Path(nilcones.__file__).parent.glob("*.py"))
