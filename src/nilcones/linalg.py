@@ -17,6 +17,11 @@ reduced echelon form on residues, behind rank, rref, nullspace and the flag
 oracle of :mod:`nilcones.enhanced`, whose preimage step {y : x y in F} is
 one elimination of the columns x e_j mod F (:func:`_preimage`).  ``det`` is
 the field-generic reference.
+Both Jordan types of a pair are read off one image chain
+(:func:`_image_chain`): bases of im x, im x^2, ..., each the last one with x
+applied to its rows and put through the field's elimination, so no whole
+power of x is formed; the type of x on k^n / k[x]v comes from the same
+bases with the cyclic vectors appended.
 The seeded group elements carry their inverse in closed form, and
 :func:`inverse` returns it without elimination.
 """
@@ -507,23 +512,43 @@ def charpoly(m):
     return tuple(e % p if p else Fraction(e, d ** k) for k, e in enumerate(c) if k)
 
 
-def _power_ranks(x, w=()):
-    """Ranks of x^0, x^1, ... on k^n / W, down to 0, where W is the span of
-    the independent x-stable vectors w: rank([x^i | W]) - dim W.
-    NotNilpotent if x^n still has positive rank there."""
-    n = x.nrows
-    xt = x.transpose()  # the rows of (x^T)^i are the columns of x^i
-    w_rows = tuple(u.num for u in w)
-    ranks = [n - len(w)]
-    power = xt
-    while ranks[-1]:
-        if len(ranks) > n:
+def _basis(rows, p):
+    """A basis of the span of the int rows, as int rows: over F_p their
+    reduced echelon rows, the entries reduced mod p first; over Q the
+    nonzero rows Bareiss leaves, each divided by the gcd of its entries."""
+    if p:
+        return [row for _, row in _echelon([[e % p for e in r] for r in rows], p)]
+    a = [list(r) for r in rows]
+    pivots, _ = _bareiss(a)
+    out = []
+    for row in a[:len(pivots)]:
+        g = gcd(*row)
+        out.append([e // g for e in row])
+    return out
+
+
+def _image_chain(x):
+    """Bases of im x, im x^2, ..., down to the last nonzero image, each a
+    list of int rows (see :func:`_basis`).  The columns of x span im x, and
+    each next basis is the last one with x applied to every row, so a step
+    multiplies and eliminates only rank x^i rows.  The rows of x.num are
+    those of d x, whose powers have the images of those of x.
+
+    A nilpotent x loses rank at every step until its image is 0; a step
+    that keeps the rank keeps the image (it lies in the last one), which
+    then never reaches 0: NotNilpotent, the case im x^n != 0.
+    """
+    if not x.is_square():
+        raise SizeMismatch("need a square matrix")
+    a, p = x.num, x.field.char
+    chain = []
+    basis = _basis(zip(*a), p)
+    while basis:
+        if len(basis) == (len(chain[-1]) if chain else x.nrows):
             raise NotNilpotent("matrix is not nilpotent")
-        if len(ranks) > 1:
-            power = power.mul(xt)
-        # scaling a row keeps the rank, so the rows stack with no common denominator
-        ranks.append(rank(Mat._of(x.field, power.num + w_rows)) - len(w))
-    return ranks
+        chain.append(basis)
+        basis = _basis([[sum(map(operator.mul, row, b)) for row in a] for b in basis], p)
+    return chain
 
 
 def _partition_from_ranks(ranks):
@@ -532,38 +557,60 @@ def _partition_from_ranks(ranks):
 
 
 def jordan_type_nilpotent(x):
-    """Partition of n whose transpose has parts rank(x^{i-1}) - rank(x^i)."""
-    if not x.is_square():
-        raise SizeMismatch("need a square matrix")
-    return _partition_from_ranks(_power_ranks(x))
+    """Partition of n whose transpose has parts rank(x^{i-1}) - rank(x^i),
+    the ranks read off the image chain."""
+    return _partition_from_ranks([x.nrows, *map(len, _image_chain(x)), 0])
 
 
-def _cyclic_basis(x, v):
-    """The iterates v, xv, x^2 v, ... up to the first zero (x nilpotent)."""
+def _cyclic_rows(x, v):
+    """The iterates v, xv, x^2 v, ... up to the first zero, as int rows (x
+    nilpotent): a basis of k[x]v."""
+    a, p = x.num, x.field.char
     out = []
-    w = v
-    while not w.is_zero():
+    w = v.num
+    while any(w):
         out.append(w)
-        w = x.mul_vec(w)
+        w = [sum(map(operator.mul, row, w)) for row in a]
+        if p:
+            w = [e % p for e in w]
     return out
+
+
+def _rank_sequences(x, v):
+    """The ranks of x^i, and of x^i on k^n / W for W = k[x]v, for
+    i = 0, 1, ... down to the first 0, read off one image chain.
+
+    Since xW lies in W, im x^(i+1) + W = x(im x^i + W) + W, and the rank of
+    x^i on k^n / W is rank(B_i and W) - dim W for the basis B_i of im x^i:
+    the quotient needs no products beyond the chain's.
+    """
+    n, p = x.nrows, x.field.char
+    # the chain first: it raises NotNilpotent, and on a non-nilpotent x the
+    # cyclic iteration would never reach zero
+    chain = _image_chain(x)
+    w = _cyclic_rows(x, v)
+    sigma = [n - len(w)]
+    for basis in chain:
+        if not sigma[-1]:
+            break
+        sigma.append(len(_basis(w + basis, p)) - len(w))
+    if sigma[-1]:
+        sigma.append(0)
+    return [n, *map(len, chain), 0], sigma
 
 
 def restricted_jordan_type(x, v):
     """Orbit label (mu, nu) of the pair (v, x) with x nilpotent.
 
     Computes the two conjugation invariants -- the Jordan type of x and the
-    Jordan type of x on the quotient by the cyclic subspace W = k[x]v, read
-    off the ranks of [x^i | W] -- and inverts them through the normal-form
-    table in :mod:`nilcones.partitions`.
+    Jordan type of x on the quotient by the cyclic subspace W = k[x]v, both
+    read off one image chain (:func:`_rank_sequences`) -- and inverts them
+    through the normal-form table in :mod:`nilcones.partitions`.
     """
     n = x.nrows
     if v.dim != n:
         raise SizeMismatch("vector/matrix dims differ")
-    # lam first: it raises NotNilpotent, and on a non-nilpotent x the cyclic
-    # iteration below would never reach zero
-    lam = jordan_type_nilpotent(x)
-    cyc = _cyclic_basis(x, v)
-    sigma = _partition_from_ranks(_power_ranks(x, cyc)) if cyc else lam
+    lam, sigma = map(_partition_from_ranks, _rank_sequences(x, v))
     b = partitions.bipartition_from_invariants(n, lam, sigma)
     return b.mu, b.nu
 

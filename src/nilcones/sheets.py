@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -232,14 +233,16 @@ def fiber_census(n, p):
     label depends only on the nilpotent blocks and the vector's
     coordinates in the eigenbasis, so a dict kept for this call maps that
     key to the label and each distinct key is identified once (650 keys
-    for the 15,625 points at n = 2, p = 5).  Returns (fibers,
+    for the 15,625 points at n = 2, p = 5).  The coordinates are read off
+    the int rows of p_inv and the vector's residues; a Vec is built only
+    for a key not seen before.  Returns (fibers,
     nonsplit_count): fibers maps each invariant vector to a dict counting
     class labels.  Capped at n <= 2, p in {2, 3, 5}.
     """
     if n > 2 or p not in (2, 3, 5):
         raise BudgetExceeded("fiber census capped at n <= 2, p in {2, 3, 5}")
     field = GF(p)
-    vectors = [Vec(field, ventries) for ventries in product(range(p), repeat=n)]
+    vectors = list(product(range(p), repeat=n))
     fibers = {}
     labels = {}
     nonsplit = 0
@@ -254,10 +257,11 @@ def fiber_census(n, p):
         p_inv, blocks = split
         shape = tuple(block.num for _, _, block in blocks)
         for v in vectors:
-            # the block sizes in shape fix where each block's slice starts
-            key = shape, p_inv.mul_vec(v).num
+            # the block sizes in shape fix where each block's slice starts;
+            # p_inv has den 1 over F_p, so the coordinates are residues
+            key = shape, tuple(sum(map(mul, row, v)) % p for row in p_inv.num)
             label = labels.get(key)
             if label is None:
-                label = labels[key] = _class_label(split, v)
+                label = labels[key] = _class_label(split, Vec._of(field, v))
             bucket[label] = bucket.get(label, 0) + 1
     return fibers, nonsplit

@@ -63,6 +63,7 @@ from .jordan_classes import (
     class_orbit_dim,
     enumerate_classes,
     identify_class,
+    identify_exotic_class,
     merge_exists,
 )
 from .sheets import (
@@ -256,7 +257,8 @@ def suite_induction(n):
 
 def suite_classes(n, seed=DEFAULT_SEED):
     """Class counts, closure-order sanity, dimension laws, doubling
-    transfer and stability of identification along class curves."""
+    transfer, stability of identification along class curves and, up to
+    n = 4, the exotic strata."""
     if n > 5:
         raise BudgetExceeded("class suite capped at n <= 5")
     rng = random.Random(seed)
@@ -340,6 +342,20 @@ def suite_classes(n, seed=DEFAULT_SEED):
     reps = map(build_class_representative, classes)
     bad = sum(o != n * n - stabilizer_dim_gl(r.v, r.x) for o, r in zip(orbit_dims, reps))
     checker.add("class orbit dimensions match stabilizers", bad == 0, len(classes))
+
+    # the exotic rank strata: embed_phi of a representative has an Sp_2n
+    # orbit of twice the class's GL_n orbit dimension, and identifies back
+    # to the class through GL_2n (the image chain at size 2n); the check
+    # takes about 0.5 s at n = 4 and 4-5 s at n = 5, so it runs up to n = 4
+    if n <= 4:
+        bad = 0
+        for c, o in zip(classes, orbit_dims):
+            e = embed_phi(build_class_representative(c))
+            if (2 * n * n + n - stabilizer_dim_sp(e.v, e.x) != 2 * o
+                    or identify_exotic_class(e) != c):
+                bad += 1
+        checker.add("exotic class orbit dimensions match stabilizers and identification",
+                    bad == 0, len(classes))
 
     checker.add("stratum-maximal classes are the sheets", sheets_are_maximal_check(n),
                 len(classes))

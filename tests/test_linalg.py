@@ -17,7 +17,9 @@ from nilcones.linalg import (
     Vec,
     _echelon,
     _free_column_basis,
+    _partition_from_ranks,
     _preimage,
+    _rank_sequences,
     _residual,
     charpoly,
     det,
@@ -222,6 +224,82 @@ def test_restricted_jordan_type_size_invariant():
             v = Vec(QQ, tuple(rng.randint(-2, 2) for _ in range(n)))
             mu, nu = restricted_jordan_type(x, v)
             assert sum(mu) + sum(nu) == n
+
+
+def full_power_rank_sequences(x, v):
+    """The rank sequences by the route the image chain replaced: rank
+    [x^i | W] - dim W from full powers x^i, for W = 0 and for W = k[x]v
+    (its iterates through mul_vec)."""
+    n = x.nrows
+
+    def power_ranks(w):
+        ranks = [n - len(w)]
+        power = xt = x.transpose()
+        while ranks[-1]:
+            if len(ranks) > n:
+                raise NotNilpotent("matrix is not nilpotent")
+            if len(ranks) > 1:
+                power = power.mul(xt)
+            ranks.append(rank(Mat._of(x.field, power.num + w)) - len(w))
+        return ranks
+
+    lam = power_ranks(())
+    cyclic, w = [], v
+    while not w.is_zero():
+        cyclic.append(w.num)
+        w = x.mul_vec(w)
+    return lam, power_ranks(tuple(cyclic))
+
+
+def test_image_chain_matches_full_powers():
+    # seeded nilpotent g u g^-1 (u strictly upper triangular) and
+    # non-nilpotent matrices, n <= 8, each with several vectors; over F_p
+    # the dense conjugates make row products exceed p, which the chain
+    # must reduce before it eliminates
+    rng = random.Random(18)
+    raised = exceeded = 0
+    for field in (QQ, GF(2), GF(3), GF(5), GF(7)):
+        p = field.char
+        entry = (lambda: rng.randint(-3, 3)) if not p else (lambda: rng.randrange(p))
+        for n in range(1, 9):
+            g = random_gl(n, rng) if not p else random_invertible_mod_p(n, p, rng)
+            block = jordan_block(n, field=field)
+            # J_(n-1) and the eigenvalue 1: the rank drops n - 1 times, then stays 1
+            shifted = Mat(field, tuple(tuple(int(j == i + 1 < n - 1 or i == j == n - 1)
+                                             for j in range(n)) for i in range(n)))
+            matrices = [block, g.mul(block).mul(inverse(g)), g.mul(shifted).mul(inverse(g)),
+                        Mat(field, tuple(tuple(entry() for _ in range(n)) for _ in range(n)))]
+            for _ in range(3):
+                u = Mat(field, tuple(tuple(entry() if j > i else 0 for j in range(n))
+                                     for i in range(n)))
+                matrices.append(g.mul(u).mul(inverse(g)))
+            if not p:
+                # a denominator: the chain runs on the int rows of 6 x
+                matrices.append(matrices[-1].mul(Mat.scalar(field, n, Fraction(1, 6))))
+            for x in matrices:
+                exceeded += bool(p) and any(sum(a * b for a, b in zip(row, col)) >= p
+                                            for row in x.num for col in zip(*x.num))
+                vectors = [Vec.zero(field, n), Vec(field, (0,) * (n - 1) + (1,)),
+                           Vec(field, (1,) + (0,) * (n - 1)),
+                           Vec(field, tuple(entry() for _ in range(n))),
+                           Vec(field, tuple(row[0] for row in x.rows))]
+                for v in vectors:
+                    try:
+                        want = full_power_rank_sequences(x, v)
+                    except NotNilpotent:
+                        with pytest.raises(NotNilpotent):
+                            _rank_sequences(x, v)
+                        with pytest.raises(NotNilpotent):
+                            jordan_type_nilpotent(x)
+                        raised += 1
+                        continue
+                    assert _rank_sequences(x, v) == want
+                    lam, sigma = want
+                    assert jordan_type_nilpotent(x) == _partition_from_ranks(lam)
+                    # one Jordan block of size n with v = e_n: W is all of k^n
+                    if x is block and v.num[-1] and not any(v.num[:-1]):
+                        assert lam == list(range(n, -1, -1)) and sigma == [0]
+    assert raised and exceeded
 
 
 def test_stabilizer_dim_gl_examples():

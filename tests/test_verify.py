@@ -59,8 +59,8 @@ def test_every_public_name_has_a_caller():
     # comment that mentions a name does not count, and neither do the
     # exports of __init__ or a function's calls to itself.
     kept = {
-        # perfbench/spans.LAYERS traces it
-        "rref",
+        # perfbench/spans.LAYERS traces them
+        "rref", "jordan_type_nilpotent",
         # the field-generic reference the characteristic polynomial is
         # tested against
         "det",
@@ -115,6 +115,16 @@ def test_classes_suite_counts_every_check_at_the_top_of_its_budget():
     assert counts["identification constant along class curves and orbits"] == IDENTIFY_SAMPLE
     assert counts["closure order is dimension monotone"] == 10874
     assert counts["equal-dimension pairs match the dense-sheet criterion"] == 4416
+    # past its cap (n = 4) the exotic strata check is left out
+    assert EXOTIC_STRATA_NAME not in counts
+
+
+EXOTIC_STRATA_NAME = "exotic class orbit dimensions match stabilizers and identification"
+
+
+def test_classes_suite_checks_the_exotic_strata_of_every_class_at_n_4():
+    check, = (c for c in run_suite("classes", 4, 2)["checks"] if c["name"] == EXOTIC_STRATA_NAME)
+    assert check["status"] == "pass" and check["count"] == 75
 
 
 def test_quotient_suite_runs_the_fiber_census_or_reports_it_skipped():
