@@ -620,29 +620,34 @@ def restricted_jordan_type(x, v):
 # ---------------------------------------------------------------------------
 
 
-def stabilizer_system(v, x):
-    """The linear system Av = 0, Ax = xA on the n*n entries of A (row-major
-    order), one equation per row; its nullspace is the stabilizer of (v, x)
-    in gl_n."""
+def _stabilizer_equations(v, x, basis):
+    """The system Av = 0, Ax = xA on the coefficients of A in ``basis``
+    (elements as sparse (row, col, coeff) entries), one column per element
+    and one equation per row: Av, then Ax - xA in row-major order."""
     _same_field(v, x)
     n = x.nrows
     if not x.is_square() or v.dim != n:
         raise SizeMismatch("need x square and v of matching dim")
     # the v rows over v.den x.den scale by x.den, the x rows by v.den
-    a, dv, dx = x.num, v.den, x.den
-    eqs = []
-    for i in range(n):
-        row = [0] * (n * n)
-        row[i * n:(i + 1) * n] = (dx * e for e in v.num)
-        eqs.append(row)
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for k in range(n):
-                row[i * n + k] += dv * a[k][j]
-                row[k * n + j] -= dv * a[i][k]
-            eqs.append(row)
-    return Mat._of(x.field, eqs, dv * dx)
+    a, w, dv, dx = x.num, v.num, v.den, x.den
+    cols = []
+    for element in basis:
+        col = [0] * (n + n * n)
+        for r, c, e in element:
+            # E_rc v = v_c e_r; (E_rc x)_rj = x_cj; (x E_rc)_ic = x_ir
+            col[r] += dx * e * w[c]
+            for j in range(n):
+                col[n + r * n + j] += dv * e * a[c][j]
+                col[n + j * n + c] -= dv * e * a[j][r]
+        cols.append(col)
+    return Mat._of(x.field, zip(*cols), dv * dx)
+
+
+def stabilizer_system(v, x):
+    """The system Av = 0, Ax = xA on the n*n entries of A (row-major order),
+    one equation per row: its nullspace is the stabilizer of (v, x) in gl_n."""
+    n = x.nrows
+    return _stabilizer_equations(v, x, [((r, c, 1),) for r in range(n) for c in range(n)])
 
 
 def stabilizer_dim_gl(v, x):
@@ -650,10 +655,16 @@ def stabilizer_dim_gl(v, x):
     return x.nrows * x.nrows - rank(stabilizer_system(v, x))
 
 
-def omega_matrix(field, n):
-    """The fixed symplectic form [[0, I], [-I, 0]] on k^{2n}."""
-    return Mat._of(field, [[(j == n + i) - (i == n + j) for j in range(2 * n)]
-                           for i in range(2 * n)])
+def _sp_basis(n):
+    """The 2n^2 + n basis elements [[P, Q], [R, -tP]] of sp_2n (Q and R
+    symmetric) as sparse entries: E_ij - E_{n+j,n+i} for all i, j, then
+    E_{i,n+j} + E_{j,n+i} and E_{n+i,j} + E_{n+j,i} for i <= j."""
+    basis = [((i, j, 1), (n + j, n + i, -1)) for i in range(n) for j in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            basis.append(((i, n + j, 1), (j, n + i, 1)))
+            basis.append(((n + i, j, 1), (n + j, i, 1)))
+    return basis
 
 
 def has_wedge_block_form(x):
@@ -673,9 +684,9 @@ def has_wedge_block_form(x):
 def stabilizer_dim_sp(v, x):
     """dim {A in sp_2n : Av = 0, Ax = xA}.
 
-    Requires x in the self-adjoint (wedge) block form; the symplectic
-    condition tA.Omega + Omega.A = 0 is appended to the gl system
-    (:func:`stabilizer_system`).
+    Requires x in the self-adjoint (wedge) block form; the system is written
+    on the 2n^2 + n coordinates of sp_2n (:func:`_sp_basis`), so the
+    symplectic condition needs no equations of its own.
     """
     _same_field(v, x)
     if x.field.char == 2:
@@ -684,22 +695,10 @@ def stabilizer_dim_sp(v, x):
         raise SizeMismatch("need a 2n x 2n matrix")
     if not has_wedge_block_form(x):
         raise WedgeViolation("x is not in the self-adjoint block form")
-    d = x.nrows
-    if v.dim != d:
+    if v.dim != x.nrows:
         raise SizeMismatch("vector dim must be 2n")
-    f = x.field
-    omega = omega_matrix(f, d // 2).num
-    eqs = []
-    for i in range(d):
-        for j in range(d):
-            row = [0] * (d * d)
-            for k in range(d):
-                # (tA Omega)_{ij} = sum_k A_{ki} Omega_{kj}
-                row[k * d + i] += omega[k][j]
-                # (Omega A)_{ij} = sum_k Omega_{ik} A_{kj}
-                row[k * d + j] += omega[i][k]
-            eqs.append(row)
-    return d * d - rank(Mat._of(f, stabilizer_system(v, x).num + tuple(eqs)))
+    basis = _sp_basis(x.nrows // 2)
+    return len(basis) - rank(_stabilizer_equations(v, x, basis))
 
 
 # ---------------------------------------------------------------------------

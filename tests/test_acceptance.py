@@ -18,13 +18,10 @@ from nilcones.linalg import (
     inverse,
     random_sp,
     restricted_jordan_type,
-    stabilizer_dim_gl,
-    stabilizer_dim_sp,
 )
 from nilcones.partitions import (
     Bipartition,
     Composition,
-    double,
     enumerate_bipartitions,
     format_bipartition,
     parse_bipartition,
@@ -39,10 +36,9 @@ from nilcones.enhanced import (
     induction_representative,
     is_rigid,
     induce_from_vector,
-    orbit_dim,
     rigid_datum,
 )
-from nilcones.exotic import ExoticElement, embed_phi, embed_psi, exotic_orbit_dim
+from nilcones.exotic import ExoticElement, embed_phi, exotic_orbit_dim
 from nilcones.jordan_classes import class_count_formula, enumerate_classes
 from nilcones.sheets import (
     enhanced_invariants,
@@ -51,7 +47,7 @@ from nilcones.sheets import (
     sheet_count_formula,
     sheets_are_maximal_check,
 )
-from nilcones.verify import suite_induction, suite_jkv
+from nilcones.verify import run_suite, suite_induction, suite_jkv
 from nilcones import cli
 
 B = Bipartition
@@ -152,54 +148,30 @@ def test_criterion_03_sp4_quadric(capsys):
 
 
 def test_criterion_04_doubling_and_quadrupling(capsys):
+    # the doubling suite runs both stabilizer oracles on every label of size
+    # <= 4: the sp one doubles the enhanced dimension, and the embedded
+    # pair's GL_2n orbit has the doubled label and dimension 4*dim - 2|mu|,
+    # which quadruples on the mu-empty labels and falls short on the rest
     start = time.monotonic()
-    doubling_bad = []
-    transfer_bad = []
-    quadrupling_bad = []
-    quadrupled = shortfall = 0
-    total = 0
-    for n in range(1, 5):
-        dim_sp = 2 * n * n + n
-        for b in enumerate_bipartitions(n):
-            total += 1
-            rep = build_representative(b)
-            enh = n * n - stabilizer_dim_gl(rep.v, rep.x)
-            exo_rep = embed_phi(rep)
-            exo = dim_sp - stabilizer_dim_sp(exo_rep.v, exo_rep.x)
-            if not (exo == 2 * enh == 2 * orbit_dim(b) == exotic_orbit_dim(b)):
-                doubling_bad.append(b)
-            big_rep = embed_psi(exo_rep)
-            big = 4 * n * n - stabilizer_dim_gl(big_rep.v, big_rep.x)
-            transferred = 4 * enh - 2 * sum(b.mu)
-            if not (identify_orbit(big_rep) == double(b)
-                    and big == orbit_dim(double(b)) == transferred):
-                transfer_bad.append((b, big, transferred))
-            if not b.mu and big == 4 * enh:
-                quadrupled += 1
-            elif b.mu and big < 4 * enh:
-                shortfall += 1
-            else:
-                quadrupling_bad.append((b, big, 4 * enh))
+    checks = run_suite("doubling", 4, 2)["checks"]
     elapsed = time.monotonic() - start
-    ok = (not doubling_bad and not transfer_bad and not quadrupling_bad
-          and quadrupled == 11 and shortfall == 26 and elapsed < 30)
+    doubling, transfer = checks
+    labels = [b for n in range(1, 5) for b in enumerate_bipartitions(n)]
+    total = len(labels)
+    quadrupled = sum(not b.mu for b in labels)
+    passed = [c["status"] == "pass" and c["count"] == total for c in checks]
+    ok = all(passed) and total == 37 and quadrupled == 11 and elapsed < 30
     with capsys.disabled():
         report(4, ok,
-               f"{total} orbits in {elapsed:.1f}s; doubling mismatches: "
-               f"{len(doubling_bad)}; GL_2n dim = 4*dim on {quadrupled} mu-empty "
-               f"labels, = 4*dim - 2|mu| on {total - len(transfer_bad)} of {total}")
+               f"{total} orbits in {elapsed:.1f}s; doubling {doubling['status']} on "
+               f"{doubling['count']}; GL_2n dim = 4*dim on {quadrupled} mu-empty "
+               f"labels, = 4*dim - 2|mu| {transfer['status']} on {transfer['count']} of {total}")
     assert total == 37
     assert elapsed < 30
-    assert not doubling_bad
-    # the doubled label (mu u mu; nu u nu) has dimension 4*dim - 2|mu|; it
-    # quadruples only when mu is empty (n = 1: (v, 0) has dims 1 and 2)
-    assert not transfer_bad, (
-        f"first mismatches (label, oracle, 4*dim - 2|mu|): {transfer_bad[:3]}"
-    )
-    assert not quadrupling_bad, (
-        f"first mismatches (label, oracle, 4*dim): {quadrupling_bad[:3]}"
-    )
-    assert (quadrupled, shortfall) == (11, 26)
+    assert doubling["name"] == "sp stabilizer oracle doubles the enhanced dimension"
+    assert transfer["name"] == "gl_2n oracle matches the doubled label (4*dim - 2|mu|)"
+    assert all(passed), f"first mismatches: {doubling['details']} {transfer['details']}"
+    assert (quadrupled, total - quadrupled) == (11, 26)
 
 
 def test_criterion_05_closure_oracle_gate(capsys):

@@ -7,11 +7,12 @@ from nilcones.fields import GF, QQ
 from nilcones.linalg import (
     Mat,
     Vec,
+    _sp_basis,
     has_wedge_block_form,
     inverse,
-    omega_matrix,
     random_gl,
     random_sp,
+    rank,
     stabilizer_dim_sp,
 )
 from nilcones.partitions import Bipartition, double, enumerate_bipartitions
@@ -50,10 +51,33 @@ def remark_quadric_matrix(a, b, c, e, f, field=QQ):
     ))
 
 
+def omega(field, n):
+    """The fixed symplectic form [[0, I], [-I, 0]] on k^{2n}."""
+    return Mat(field, tuple(tuple((j == n + i) - (i == n + j) for j in range(2 * n))
+                            for i in range(2 * n)))
+
+
 def in_sp(a):
     """Membership in sp_2n, from its definition tA.Omega + Omega.A = 0."""
-    omega = omega_matrix(a.field, a.nrows // 2)
-    return a.transpose().mul(omega).add(omega.mul(a)).is_zero()
+    om = omega(a.field, a.nrows // 2)
+    return a.transpose().mul(om).add(om.mul(a)).is_zero()
+
+
+def test_sp_basis_is_a_basis_of_sp_by_its_definition():
+    # the coordinates stabilizer_dim_sp writes its system on: 2n^2 + n
+    # elements of sp_2n, linearly independent, so a basis of it
+    for field in (QQ, GF(3)):
+        for n in range(1, 5):
+            basis = _sp_basis(n)
+            assert len(basis) == 2 * n * n + n
+            flat = []
+            for element in basis:
+                rows = [[0] * (2 * n) for _ in range(2 * n)]
+                for r, c, e in element:
+                    rows[r][c] += e
+                assert in_sp(Mat(field, tuple(map(tuple, rows)))), element
+                flat.append(tuple(e for row in rows for e in row))
+            assert rank(Mat(field, tuple(flat))) == 2 * n * n + n
 
 
 def test_is_wedge_element():
@@ -192,7 +216,7 @@ def test_exotic_element_validation():
 
 
 def test_symplectic_form():
-    om = omega_matrix(QQ, 2)
+    om = omega(QQ, 2)
     assert om.transpose() == Mat.zeros(QQ, 4).sub(om)
     assert inverse(om) is not None
     # the form spans the trivial submodule of the wedge square; under the

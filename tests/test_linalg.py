@@ -30,7 +30,6 @@ from nilcones.linalg import (
     jordan_type_nilpotent,
     limit_along_cocharacter,
     nullspace,
-    omega_matrix,
     random_gl,
     random_sp,
     rank,
@@ -38,7 +37,14 @@ from nilcones.linalg import (
     rref,
     stabilizer_dim_gl,
     stabilizer_dim_sp,
+    stabilizer_system,
 )
+
+
+def omega(field, n):
+    """The symplectic form [[0, I], [-I, 0]] on k^{2n}."""
+    return Mat(field, tuple(tuple((j == n + i) - (i == n + j) for j in range(2 * n))
+                            for i in range(2 * n)))
 
 
 def jordan_block(n, eigenvalue=0, field=QQ):
@@ -691,7 +697,7 @@ def test_random_group_elements_are_exact():
         g = random_gl(n, rng)
         assert det(g) in (QQ.one, QQ.of(-1))
         s = random_sp(n, rng)
-        om = omega_matrix(QQ, n)
+        om = omega(QQ, n)
         assert s.transpose().mul(om).mul(s).rows == om.rows
 
 
@@ -880,6 +886,91 @@ def test_random_group_elements_match_baseline(baseline):
         for s in range(50):
             assert random_gl(n, random.Random(s)).rows == base.random_gl(n, random.Random(s)).rows
             assert random_sp(n, random.Random(s)).rows == base.random_sp(n, random.Random(s)).rows
+
+
+def entrywise_stabilizer_system(v, x):
+    """The gl_n stabilizer system by the route the basis builder replaced:
+    one row per equation of Av = 0 and Ax = xA, written on the n*n entries
+    of A."""
+    n = x.nrows
+    a, dv, dx = x.num, v.den, x.den
+    eqs = []
+    for i in range(n):
+        row = [0] * (n * n)
+        row[i * n:(i + 1) * n] = (dx * e for e in v.num)
+        eqs.append(row)
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for k in range(n):
+                row[i * n + k] += dv * a[k][j]
+                row[k * n + j] -= dv * a[i][k]
+            eqs.append(row)
+    return Mat._of(x.field, eqs, dv * dx)
+
+
+def appended_omega_stabilizer_dim_sp(v, x):
+    """dim of the sp_2n stabilizer by the route the sp_2n coordinates
+    replaced: the gl_2n system on 4n^2 unknowns with the 4n^2 equations
+    tA.Omega + Omega.A = 0 appended."""
+    d = x.nrows
+    om = omega(x.field, d // 2).num
+    eqs = []
+    for i in range(d):
+        for j in range(d):
+            row = [0] * (d * d)
+            for k in range(d):
+                row[k * d + i] += om[k][j]
+                row[k * d + j] += om[i][k]
+            eqs.append(row)
+    return d * d - rank(Mat._of(x.field, entrywise_stabilizer_system(v, x).num + tuple(eqs)))
+
+
+def test_stabilizer_builder_matches_appended_omega_and_baseline(baseline):
+    # the sp_2n stabilizer on its 2n^2 + n coordinates against the gl_2n
+    # system with Omega appended and against the pinned baseline's Gauss-
+    # Jordan on field scalars: the embedded orbit and class representatives
+    # for n <= 3, then seeded wedge elements (a Fraction entry over Q, ints
+    # off by multiples of p over F_p), each with v zero and v nonzero
+    from nilcones.enhanced import build_representative
+    from nilcones.exotic import embed_phi
+    from nilcones.jordan_classes import build_class_representative, enumerate_classes
+    from nilcones.partitions import enumerate_bipartitions
+
+    base, bf = baseline.linalg, baseline.fields
+    bfields = {QQ: bf.QQ, GF(3): bf.GF(3), GF(5): bf.GF(5), GF(7): bf.GF(7)}
+    pairs = []
+    for n in range(1, 4):
+        reps = [build_representative(b) for b in enumerate_bipartitions(n)]
+        reps += [build_class_representative(c) for c in enumerate_classes(n)]
+        pairs += [(e.v, e.x) for e in map(embed_phi, reps)]
+    rng = random.Random(19)
+    refused = 0
+    for field in bfields:
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            x = Mat(field, wedge_rows(rng, field, n))
+            if not has_wedge_block_form(x):
+                with pytest.raises(WedgeViolation):
+                    stabilizer_dim_sp(Vec.zero(field, 2 * n), x)
+                refused += 1
+                continue
+            pairs.append((Vec.zero(field, 2 * n), x))
+            pairs.append((Vec(field, seeded_rows(rng, field, 1, 2 * n, zeros=0.2)[0]), x))
+    nonzero = 0
+    for v, x in pairs:
+        want = base.stabilizer_dim_sp(base.Vec(bfields[x.field], v.entries),
+                                      base.Mat(bfields[x.field], x.rows))
+        assert stabilizer_dim_sp(v, x) == appended_omega_stabilizer_dim_sp(v, x) == want
+        nonzero += not v.is_zero()
+    assert refused > 10 and nonzero > 100 and any(x.den > 1 for _, x in pairs)
+    # the gl_n system on the elementary basis is the entrywise one
+    for field in bfields:
+        for _ in range(50):
+            n = rng.randint(1, 5)
+            v = Vec(field, seeded_rows(rng, field, 1, n)[0])
+            x = Mat(field, seeded_rows(rng, field, n, n))
+            assert stabilizer_system(v, x) == entrywise_stabilizer_system(v, x)
 
 
 def test_group_elements_carry_their_exact_inverse():

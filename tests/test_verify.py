@@ -115,8 +115,8 @@ def test_classes_suite_counts_every_check_at_the_top_of_its_budget():
     assert counts["identification constant along class curves and orbits"] == IDENTIFY_SAMPLE
     assert counts["closure order is dimension monotone"] == 10874
     assert counts["equal-dimension pairs match the dense-sheet criterion"] == 4416
-    # past its cap (n = 4) the exotic strata check is left out
-    assert EXOTIC_STRATA_NAME not in counts
+    # the exotic strata check runs at every n the suite admits, n = 5 too
+    assert counts[EXOTIC_STRATA_NAME] == 212
 
 
 EXOTIC_STRATA_NAME = "exotic class orbit dimensions match stabilizers and identification"
