@@ -25,7 +25,29 @@ class NonSplitSpectrum(NilconesError):
 
     def __init__(self, factor, message=None):
         self.factor = tuple(factor)
-        super().__init__(message or f"spectrum does not split; residual factor {self.factor}")
+        super().__init__(message or f"spectrum does not split; residual factor "
+                                    f"{_polynomial_text(self.factor)}")
+
+
+def _polynomial_text(coefficients):
+    """The polynomial in t with these coefficients, highest degree first, as
+    plain text: (1, 0, 1) reads t^2 + 1, (1, Fraction(-1, 2), 3) reads
+    t^2 - (1/2)t + 3."""
+    degree = len(coefficients) - 1
+    text = ""
+    for k, c in enumerate(coefficients):
+        if not c:
+            continue
+        power = degree - k
+        monomial = "" if power == 0 else "t" if power == 1 else f"t^{power}"
+        size = str(abs(c))
+        if monomial and size == "1":
+            size = ""
+        elif monomial and "/" in size:
+            size = f"({size})"
+        sign = ("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")
+        text += sign + size + monomial
+    return text
 
 
 class BudgetExceeded(NilconesError):

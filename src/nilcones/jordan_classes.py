@@ -17,10 +17,10 @@ from itertools import chain, combinations_with_replacement, product
 from math import comb
 from operator import add
 
-from .errors import BudgetExceeded, InvariantViolation, NotDoubled, RepeatedEigenvalue, SizeMismatch
+from .errors import BudgetExceeded, NotDoubled, RepeatedEigenvalue, SizeMismatch
 from .fields import QQ
-from .linalg import Mat, Vec, generalized_eigenbasis
-from .enhanced import EnhancedElement, build_representative, identify_orbit, orbit_dim
+from .linalg import Mat, Vec, _eigenspace_types, eigenvalues_with_multiplicity
+from .enhanced import EnhancedElement, build_representative, orbit_dim
 from .exotic import embed_psi
 from .partitions import (
     _prefix_sums,
@@ -172,57 +172,32 @@ def build_class_representative(c, eigenvalues=None, field=QQ):
     return EnhancedElement(c.n, Vec(field, ventries), Mat.block_diag(field, blocks_x))
 
 
-def _eigen_blocks(x):
-    """The part of the eigenspace split that depends on x alone: returns
-    (p_inv, blocks), blocks listing (start, end, nilpotent block) per
-    eigenvalue.
-
-    In the basis p of :func:`generalized_eigenbasis`, x is block diagonal
-    with blocks a I + (the nilpotent part of x there); a vector then has
-    the coordinates p_inv v, and each block owns the slice start:end.
-    """
-    f = x.field
-    eig, p_mat, p_inv = generalized_eigenbasis(x)
-    x_conj = p_inv.mul(x).mul(p_mat)
-    blocks = []
-    off = 0
-    for a, m in eig:
-        end = off + m
-        # x preserves each generalized eigenspace, so the conjugated
-        # matrix must vanish outside the diagonal blocks
-        if any(row[j] for i, row in enumerate(x_conj.num) if not off <= i < end
-               for j in range(off, end)):
-            raise InvariantViolation(f"eigenvalue {a}: the conjugated x is not block diagonal")
-        block = Mat._of(f, (row[off:end] for row in x_conj.num[off:end]), x_conj.den)
-        blocks.append((off, end, block.sub(Mat.scalar(f, m, a))))
-        off = end
-    return p_inv, blocks
-
-
-def _class_label(split, v):
-    """Class label of (v, x), given split = _eigen_blocks(x): the block of
-    (v, x) on each generalized eigenspace, with its nilpotent matrix, is
-    identified as an enhanced orbit of its own size."""
-    p_inv, blocks = split
-    coords = p_inv.mul_vec(v)
-    return ClassLabel(tuple(end - off for off, end, _ in blocks), tuple(
-        identify_orbit(EnhancedElement(end - off, Vec._of(v.field, coords.num[off:end],
-                                                          coords.den), block))
-        for off, end, block in blocks))
-
-
 def identify_class(e):
-    """Class label of an enhanced element whose spectrum splits: eigenvalue
-    multiplicities give lam, and each eigenspace block is identified as an
-    enhanced nilpotent orbit of its own size."""
-    return _class_label(_eigen_blocks(e.x), e.v)
+    """Class label of an enhanced element whose spectrum splits.
+
+    k^n is the direct sum of the generalized eigenspaces V_a of x, and x,
+    v and the stabilizer of x_s, the product of the GL(V_a), split along
+    it.  So the class of (v, x) is fixed by the eigenvalue multiplicities
+    m_a, which give lam, and by the GL(V_a)-orbit of each nilpotent pair
+    (v_a, x - a), v_a the component of v in V_a.  That orbit is fixed by
+    the Jordan type of x - a on V_a and its type on V_a / k[x]v_a (Achar
+    and Henderson, Adv. Math. 219, 2008).  Both are read off one image
+    chain of x - a on k^n, with no eigenbasis
+    (:func:`nilcones.linalg._eigenspace_types`).
+    """
+    return _class_of(e.v, e.x, eigenvalues_with_multiplicity(e.x))
+
+
+def _class_of(v, x, eig):
+    """Class label of (v, x), given eig, the (eigenvalue, multiplicity)
+    pairs of x."""
+    return ClassLabel(tuple(m for _, m in eig), tuple(_eigenspace_types(x, v, eig)))
 
 
 def identify_exotic_class(e):
     """Class label of an exotic element: the GL_2n class label of its
     embedding, halved (NotDoubled if its parts or blocks are not doubled)."""
-    big = embed_psi(e)
-    label = _class_label(_eigen_blocks(big.x), big.v)
+    label = identify_class(embed_psi(e))
     if any(m % 2 for m in label.lam):
         raise NotDoubled(f"eigenvalue multiplicities {label.lam} are not all even")
     try:

@@ -17,11 +17,12 @@ reduced echelon form on residues, behind rank, rref, nullspace and the flag
 oracle of :mod:`nilcones.enhanced`, whose preimage step {y : x y in F} is
 one elimination of the columns x e_j mod F (:func:`_preimage`).  ``det`` is
 the field-generic reference.
-Both Jordan types of a pair are read off one image chain
-(:func:`_image_chain`): bases of im x, im x^2, ..., each the last one with x
-applied to its rows and put through the field's elimination, so no whole
-power of x is formed; the type of x on k^n / k[x]v comes from the same
-bases with the cyclic vectors appended.
+Pairs and classes are identified on one image chain per eigenvalue a
+(:func:`_image_chain`): bases of im y, im y^2, ... for an int multiple y of
+x - a, each the last one with y applied to its rows, until the image stops
+shrinking; no power, eigenbasis or inverse of x is formed.  Both Jordan
+types of the block of the pair on the generalized eigenspace of a come from
+the ranks of those bases, with and without a basis of k[x]v appended.
 The seeded group elements carry their inverse in closed form, and
 :func:`inverse` returns it without elimination.
 """
@@ -527,27 +528,32 @@ def _basis(rows, p):
     return out
 
 
-def _image_chain(x):
-    """Bases of im x, im x^2, ..., down to the last nonzero image, each a
-    list of int rows (see :func:`_basis`).  The columns of x span im x, and
-    each next basis is the last one with x applied to every row, so a step
-    multiplies and eliminates only rank x^i rows.  The rows of x.num are
-    those of d x, whose powers have the images of those of x.
+def _image_chain(y, p, m):
+    """Bases of im y, im y^2, ..., im y^k for the square matrix with int
+    rows y, as int rows (see :func:`_basis`), up to the stable image im y^k,
+    the first that the next power keeps.  Each basis is the last one with y
+    applied to every row, so a step eliminates only rank y^i rows.
 
-    A nilpotent x loses rank at every step until its image is 0; a step
-    that keeps the rank keeps the image (it lies in the last one), which
-    then never reaches 0: NotNilpotent, the case im x^n != 0.
+    For y a nonzero multiple of x - a, a an eigenvalue of multiplicity m,
+    the stable image is the sum of the other generalized eigenspaces, of
+    dimension n - m (Fitting's lemma).  Another dimension raises
+    NotNilpotent when m = n (y, or x when a = 0, is not nilpotent), else
+    InvariantViolation.
     """
-    if not x.is_square():
+    n = len(y)
+    if any(len(row) != n for row in y):
         raise SizeMismatch("need a square matrix")
-    a, p = x.num, x.field.char
-    chain = []
-    basis = _basis(zip(*a), p)
-    while basis:
-        if len(basis) == (len(chain[-1]) if chain else x.nrows):
+    chain = [_basis(zip(*y), p)]
+    if len(chain[0]) < n:
+        while chain[-1]:
+            basis = _basis([[sum(map(operator.mul, row, b)) for row in y] for b in chain[-1]], p)
+            if len(basis) == len(chain[-1]):
+                break
+            chain.append(basis)
+    if len(chain[-1]) != n - m:
+        if m == n:
             raise NotNilpotent("matrix is not nilpotent")
-        chain.append(basis)
-        basis = _basis([[sum(map(operator.mul, row, b)) for row in a] for b in basis], p)
+        raise InvariantViolation(f"the stable image has dimension {len(chain[-1])}, not {n - m}")
     return chain
 
 
@@ -559,16 +565,19 @@ def _partition_from_ranks(ranks):
 def jordan_type_nilpotent(x):
     """Partition of n whose transpose has parts rank(x^{i-1}) - rank(x^i),
     the ranks read off the image chain."""
-    return _partition_from_ranks([x.nrows, *map(len, _image_chain(x)), 0])
+    return _partition_from_ranks([x.nrows, *map(len, _image_chain(x.num, x.field.char, x.nrows))])
 
 
-def _cyclic_rows(x, v):
-    """The iterates v, xv, x^2 v, ... up to the first zero, as int rows (x
-    nilpotent): a basis of k[x]v."""
+def _cyclic_basis(x, v):
+    """A basis of W = k[x]v as int rows: the iterates v, xv, x^2 v, ... up
+    to the first zero, which are independent; if none of the first n is
+    zero, those n reduced to a basis (see :func:`_basis`)."""
     a, p = x.num, x.field.char
     out = []
     w = v.num
     while any(w):
+        if len(out) == x.nrows:
+            return _basis(out, p)
         out.append(w)
         w = [sum(map(operator.mul, row, w)) for row in a]
         if p:
@@ -576,42 +585,59 @@ def _cyclic_rows(x, v):
     return out
 
 
-def _rank_sequences(x, v):
-    """The ranks of x^i, and of x^i on k^n / W for W = k[x]v, for
-    i = 0, 1, ... down to the first 0, read off one image chain.
+def _rank_sequences(y, p, m, w):
+    """The ranks of N^i, and of N^i on V / (W ∩ V), for i = 0, 1, ... down
+    to the first 0, where N is x - a on the generalized eigenspace V of an
+    eigenvalue a of multiplicity m, all read off one image chain of the int
+    matrix y, a nonzero multiple of x - a (:func:`_image_chain`); w is a
+    basis of W = k[x]v.
 
-    Since xW lies in W, im x^(i+1) + W = x(im x^i + W) + W, and the rank of
-    x^i on k^n / W is rank(B_i and W) - dim W for the basis B_i of im x^i:
-    the quotient needs no products beyond the chain's.
+    y is invertible on the other generalized eigenspaces, whose sum U is
+    the stable image im y^k.  So im y^i = N^i V + U, of dimension
+    rank N^i + n - m.  W is the sum of its parts in each generalized
+    eigenspace, as the projections onto them are polynomials in x; so
+    im y^i + W = (N^i V + W ∩ V) + U, and the rank of N^i on V / (W ∩ V) is
+    dim(im y^i + W) - dim(im y^k + W).
     """
-    n, p = x.nrows, x.field.char
-    # the chain first: it raises NotNilpotent, and on a non-nilpotent x the
-    # cyclic iteration would never reach zero
-    chain = _image_chain(x)
-    w = _cyclic_rows(x, v)
-    sigma = [n - len(w)]
-    for basis in chain:
+    n = len(y)
+    chain = _image_chain(y, p, m)
+    stable = chain[-1]
+    base = len(_basis(w + stable, p)) if stable else len(w)
+    sigma = [n - base]
+    for basis in chain[:-1]:
         if not sigma[-1]:
             break
-        sigma.append(len(_basis(w + basis, p)) - len(w))
+        sigma.append(len(_basis(w + basis, p)) - base)
     if sigma[-1]:
         sigma.append(0)
-    return [n, *map(len, chain), 0], sigma
+    return [m, *(len(basis) - n + m for basis in chain)], sigma
+
+
+def _eigenspace_types(x, v, eig):
+    """The Bipartition of the nilpotent pair (v_a, x - a) on each generalized
+    eigenspace V_a of x, one per (a, m) of eig, v_a the component of v: the
+    rank sequences of y = s (d x) - r d I, for a = r / s in lowest terms and
+    d the denominator of x, through the normal-form table in
+    :mod:`nilcones.partitions`.  One basis of k[x]v serves every a."""
+    n, p, d = x.nrows, x.field.char, x.den
+    if v.dim != n:
+        raise SizeMismatch("vector/matrix dims differ")
+    w = _cyclic_basis(x, v)
+    types = []
+    for a, m in eig:
+        r, s = (a, 1) if p else (a.numerator, a.denominator)
+        y = [[s * e - r * d * (i == j) for j, e in enumerate(row)]
+             for i, row in enumerate(x.num)] if r else x.num
+        lam, sigma = map(_partition_from_ranks, _rank_sequences(y, p, m, w))
+        types.append(partitions.bipartition_from_invariants(m, lam, sigma))
+    return types
 
 
 def restricted_jordan_type(x, v):
-    """Orbit label (mu, nu) of the pair (v, x) with x nilpotent.
-
-    Computes the two conjugation invariants -- the Jordan type of x and the
-    Jordan type of x on the quotient by the cyclic subspace W = k[x]v, both
-    read off one image chain (:func:`_rank_sequences`) -- and inverts them
-    through the normal-form table in :mod:`nilcones.partitions`.
-    """
-    n = x.nrows
-    if v.dim != n:
-        raise SizeMismatch("vector/matrix dims differ")
-    lam, sigma = map(_partition_from_ranks, _rank_sequences(x, v))
-    b = partitions.bipartition_from_invariants(n, lam, sigma)
+    """Orbit label (mu, nu) of the pair (v, x) with x nilpotent: the case
+    a = 0, m = n of :func:`_eigenspace_types`, from the Jordan types of x
+    and of x on k^n / k[x]v."""
+    (b,) = _eigenspace_types(x, v, [(0, x.nrows)])
     return b.mu, b.nu
 
 
@@ -620,10 +646,11 @@ def restricted_jordan_type(x, v):
 # ---------------------------------------------------------------------------
 
 
-def _stabilizer_equations(v, x, basis):
+def _stabilizer_equations(v, x, basis, keep=None):
     """The system Av = 0, Ax = xA on the coefficients of A in ``basis``
     (elements as sparse (row, col, coeff) entries), one column per element
-    and one equation per row: Av, then Ax - xA in row-major order."""
+    and one equation per row: Av, then Ax - xA in row-major order, or only
+    the rows whose indices ``keep`` lists."""
     _same_field(v, x)
     n = x.nrows
     if not x.is_square() or v.dim != n:
@@ -639,7 +666,7 @@ def _stabilizer_equations(v, x, basis):
             for j in range(n):
                 col[n + r * n + j] += dv * e * a[c][j]
                 col[n + j * n + c] -= dv * e * a[j][r]
-        cols.append(col)
+        cols.append(col if keep is None else [col[k] for k in keep])
     return Mat._of(x.field, zip(*cols), dv * dx)
 
 
@@ -667,6 +694,17 @@ def _sp_basis(n):
     return basis
 
 
+def _sp_kept_rows(n):
+    """The row indices of the sp_2n system that :func:`stabilizer_dim_sp`
+    keeps: the 2n rows of Av, then from Ax - xA its top-left block and the
+    strict upper triangles of its two off-diagonal blocks, 2n^2 - n rows."""
+    d = 2 * n
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    cells += [(i, n + j) for i in range(n) for j in range(i + 1, n)]
+    cells += [(n + i, j) for i in range(n) for j in range(i + 1, n)]
+    return [*range(d), *(d + i * d + j for i, j in cells)]
+
+
 def has_wedge_block_form(x):
     """Block test [[A, B], [C, tA]] with B, C skew-symmetric."""
     if not x.is_square() or x.nrows % 2:
@@ -686,7 +724,12 @@ def stabilizer_dim_sp(v, x):
 
     Requires x in the self-adjoint (wedge) block form; the system is written
     on the 2n^2 + n coordinates of sp_2n (:func:`_sp_basis`), so the
-    symplectic condition needs no equations of its own.
+    symplectic condition needs no equations of its own.  It keeps only the
+    independent equations (:func:`_sp_kept_rows`): for A in sp_2n and x
+    self-adjoint, Ax - xA is self-adjoint, [[P, Q], [R, tP]] with Q and R
+    skew-symmetric, so its bottom-right block is the transpose of the
+    top-left one, the lower triangles of Q and R are the negatives of their
+    upper ones, and their diagonals vanish (the characteristic is not 2).
     """
     _same_field(v, x)
     if x.field.char == 2:
@@ -697,8 +740,9 @@ def stabilizer_dim_sp(v, x):
         raise WedgeViolation("x is not in the self-adjoint block form")
     if v.dim != x.nrows:
         raise SizeMismatch("vector dim must be 2n")
-    basis = _sp_basis(x.nrows // 2)
-    return len(basis) - rank(_stabilizer_equations(v, x, basis))
+    n = x.nrows // 2
+    basis = _sp_basis(n)
+    return len(basis) - rank(_stabilizer_equations(v, x, basis, _sp_kept_rows(n)))
 
 
 # ---------------------------------------------------------------------------

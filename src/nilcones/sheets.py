@@ -19,6 +19,7 @@ from operator import mul
 from .errors import (
     BudgetExceeded,
     CharTwo,
+    InvariantViolation,
     NonSplitSpectrum,
     NotPerfectSquare,
     SizeMismatch,
@@ -26,13 +27,12 @@ from .errors import (
 from .fields import GF
 from .jordan_classes import (
     ClassLabel,
-    _class_label,
-    _eigen_blocks,
+    _class_of,
     class_closure_leq,
     class_orbit_dim,
     enumerate_classes,
 )
-from .linalg import Mat, Vec, _charpoly_ints, charpoly
+from .linalg import Mat, Vec, _charpoly_ints, charpoly, generalized_eigenbasis
 from .partitions import (
     Bipartition,
     check_partition,
@@ -223,21 +223,49 @@ def exotic_invariants(e):
     return InvariantVector(_square_root_ints(e.field, *_charpoly_ints(e.x)))
 
 
+def _eigen_blocks(x):
+    """The part of a census key that depends on x alone: returns
+    (eig, p_inv, shape), eig the (eigenvalue, multiplicity) pairs.
+
+    In the basis p of :func:`generalized_eigenbasis`, x is block diagonal
+    with blocks a I + N_a, one per (a, m) of eig; shape lists the int rows
+    of each N_a.  A vector has the coordinates p_inv v there, and the class
+    label of the pair depends only on shape and those coordinates.
+    """
+    f = x.field
+    eig, p_mat, p_inv = generalized_eigenbasis(x)
+    x_conj = p_inv.mul(x).mul(p_mat)
+    shape = []
+    off = 0
+    for a, m in eig:
+        end = off + m
+        # x preserves each generalized eigenspace, so the conjugated
+        # matrix must vanish outside the diagonal blocks
+        if any(row[j] for i, row in enumerate(x_conj.num) if not off <= i < end
+               for j in range(off, end)):
+            raise InvariantViolation(f"eigenvalue {a}: the conjugated x is not block diagonal")
+        block = Mat._of(f, (row[off:end] for row in x_conj.num[off:end]), x_conj.den)
+        shape.append(block.sub(Mat.scalar(f, m, a)).num)
+        off = end
+    return eig, p_inv, tuple(shape)
+
+
 def fiber_census(n, p):
     """Walk every point of F_p^n x gl_n(F_p), bucket by invariant vector,
     and classify the points with split spectrum by their Jordan class.
 
     The invariants and the eigenspace split depend on x alone, so they are
-    computed once per matrix; each vector then only maps through the
-    eigenbasis.  Every point is still walked and counted, but its class
-    label depends only on the nilpotent blocks and the vector's
-    coordinates in the eigenbasis, so a dict kept for this call maps that
-    key to the label and each distinct key is identified once (650 keys
-    for the 15,625 points at n = 2, p = 5).  The coordinates are read off
-    the int rows of p_inv and the vector's residues; a Vec is built only
-    for a key not seen before.  Returns (fibers,
-    nonsplit_count): fibers maps each invariant vector to a dict counting
-    class labels.  Capped at n <= 2, p in {2, 3, 5}.
+    computed once per matrix.  Every point is still walked and counted, but
+    its class label depends only on the nilpotent blocks of x in the
+    eigenbasis and the vector's coordinates there (:func:`_eigen_blocks`),
+    so a dict kept for this call maps that key to the label and each
+    distinct key is identified once (650 keys for the 15,625 points at
+    n = 2, p = 5).  The coordinates are read off the int rows of p_inv and
+    the vector's residues.  A new key's label is read off the pair itself,
+    as :func:`nilcones.jordan_classes.identify_class` does, with the
+    eigenvalues the split found.  Returns (fibers, nonsplit_count): fibers
+    maps each invariant vector to a dict counting class labels.  Capped at
+    n <= 2, p in {2, 3, 5}.
     """
     if n > 2 or p not in (2, 3, 5):
         raise BudgetExceeded("fiber census capped at n <= 2, p in {2, 3, 5}")
@@ -250,18 +278,16 @@ def fiber_census(n, p):
         x = Mat(field, tuple(xentries[i * n:(i + 1) * n] for i in range(n)))
         bucket = fibers.setdefault(tuple(charpoly(x)), {})
         try:
-            split = _eigen_blocks(x)
+            eig, p_inv, shape = _eigen_blocks(x)
         except NonSplitSpectrum:
             nonsplit += len(vectors)
             continue
-        p_inv, blocks = split
-        shape = tuple(block.num for _, _, block in blocks)
         for v in vectors:
             # the block sizes in shape fix where each block's slice starts;
             # p_inv has den 1 over F_p, so the coordinates are residues
             key = shape, tuple(sum(map(mul, row, v)) % p for row in p_inv.num)
             label = labels.get(key)
             if label is None:
-                label = labels[key] = _class_label(split, Vec._of(field, v))
+                label = labels[key] = _class_of(Vec._of(field, v), x, eig)
             bucket[label] = bucket.get(label, 0) + 1
     return fibers, nonsplit

@@ -29,9 +29,6 @@ from nilcones.partitions import (
 from nilcones.enhanced import (
     InductionDatum,
     build_representative,
-    closure_leq,
-    closure_oracle_flag,
-    closure_oracle_sweep,
     identify_orbit,
     induction_representative,
     is_rigid,
@@ -175,29 +172,33 @@ def test_criterion_04_doubling_and_quadrupling(capsys):
 
 
 def test_criterion_05_closure_oracle_gate(capsys):
+    # the closure suite per (n, p): the flag oracle in both block orders on
+    # every ordered pair, and for n <= 3 the group sweep and the count of
+    # the nilcone points its orbit walks reach
     start = time.monotonic()
     flag_pairs = sweep_pairs = 0
-    mismatches = []
+    failed = []
     for n in range(1, 5):
-        labels = enumerate_bipartitions(n)
+        pairs = len(enumerate_bipartitions(n)) ** 2
         for p in (2, 3):
-            for b1 in labels:
-                for b2 in labels:
-                    rule = closure_leq(b1, b2)
-                    flag_pairs += 1
-                    if closure_oracle_flag(b1, b2, p) != rule:
-                        mismatches.append(("flag", n, p, b1, b2))
-                    if n <= 3:
-                        sweep_pairs += 1
-                        if closure_oracle_sweep(b1, b2, p) != rule:
-                            mismatches.append(("sweep", n, p, b1, b2))
+            checks = run_suite("closure", n, p)["checks"]
+            expected = {f"flag oracle agrees at n={n}, p={p}": pairs,
+                        "flag oracle independent of block ordering": pairs}
+            if n <= 3:
+                expected[f"group sweep agrees at n={n}, p={p}"] = pairs
+                expected[f"orbits partition the {p ** (n * n)} nilcone points at n={n}, p={p}"] = \
+                    p ** (n * n)
+                sweep_pairs += pairs
+            flag_pairs += pairs
+            assert {c["name"]: c["count"] for c in checks} == expected
+            failed += [(n, p, c["name"], c["details"]) for c in checks if c["status"] != "pass"]
     elapsed = time.monotonic() - start
-    ok = not mismatches and elapsed < 600
+    ok = not failed and elapsed < 600
     with capsys.disabled():
-        report(5, ok, f"{flag_pairs} flag-oracle pairs (n<=4, p in 2,3), "
-                      f"{sweep_pairs} sweep pairs (n<=3); mismatches: "
-                      f"{len(mismatches)}; {elapsed:.1f}s")
-    assert not mismatches
+        report(5, ok, f"{flag_pairs} flag-oracle pairs in both block orders (n<=4, p in 2,3), "
+                      f"{sweep_pairs} sweep pairs and the nilcone point counts (n<=3); "
+                      f"failed checks: {len(failed)}; {elapsed:.1f}s")
+    assert not failed, failed
     assert elapsed < 600
 
 

@@ -224,6 +224,20 @@ def test_cmd_identify_class_large_eigenvalues_over_q_exceed_the_root_budget(caps
         assert capsys.readouterr().out.strip() == "λ=[1,1]; blocks=[(1;),(1;)]"
 
 
+def test_cmd_identify_class_non_split_spectrum_prints_the_factor_as_a_polynomial(capsys, tmp_path):
+    # the rotation has the factor t^2 + 1, with no root over Q or F_3; the
+    # message once printed it as a tuple of Fractions
+    path = tmp_path / "element.json"
+    doc = {"n": 2, "module": "enhanced", "field": "Q", "v": ["0", "0"],
+           "x": [["0", "-1"], ["1", "0"]]}
+    for extra, factor in (({}, "t^2 + 1"), ({"field": "Fp", "p": 3}, "t^2 + 1"),
+                          ({"x": [["0", "-1"], ["1", "1/2"]]}, "t^2 - (1/2)t + 1")):
+        path.write_text(json.dumps({**doc, **extra}))
+        assert main(["identify", "--file", str(path), "--level", "class"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: NonSplitSpectrum: spectrum does not split; residual factor {factor}")
+
+
 def test_parser_is_built_once_and_calls_do_not_leak(capsys, tmp_path):
     # one parser serves every call of main; a call that sets options, and
     # a usage error, leave nothing behind for the calls after them

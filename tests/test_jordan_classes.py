@@ -1,5 +1,6 @@
 import operator
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -7,12 +8,23 @@ import pytest
 
 from nilcones.errors import NonSplitSpectrum, RepeatedEigenvalue, SizeMismatch
 from nilcones.fields import GF, QQ
-from nilcones.linalg import Mat, Vec, inverse, random_gl, random_sp, stabilizer_dim_gl
+from nilcones.linalg import (
+    Mat,
+    Vec,
+    _partition_from_ranks,
+    generalized_eigenbasis,
+    inverse,
+    random_gl,
+    random_sp,
+    rank,
+    stabilizer_dim_gl,
+)
 from nilcones.partitions import (
     Bipartition,
     _prefix_sums,
     _sums_leq,
     ah_closure_leq,
+    bipartition_from_invariants,
     double,
     enumerate_bipartitions,
     sum_bipartitions,
@@ -100,6 +112,87 @@ def test_identify_class_constant_on_classes():
             assert identify_class(alt) == c
             g = random_gl(n, rng)
             assert identify_class(act(g, alt)) == c
+
+
+def full_power_orbit(v, x):
+    """The orbit label of a nilpotent pair (v, x) from the ranks of whole
+    powers of x, rank [x^i | W] - dim W for W = 0 and for W = k[x]v, with
+    no image chain."""
+    f, n = x.field, x.nrows
+    cyclic, w = [], v
+    while not w.is_zero():
+        cyclic.append(w.entries)
+        w = x.mul_vec(w)
+
+    def ranks(extra):
+        out, power = [n - len(extra)], Mat.identity(f, n)
+        while out[-1]:
+            power = power.mul(x)
+            out.append(rank(Mat(f, power.transpose().rows + extra)) - len(extra))
+        return _partition_from_ranks(out)
+
+    return bipartition_from_invariants(n, ranks(()), ranks(tuple(cyclic)))
+
+
+def eigenbasis_class_label(e):
+    """The class label by the route the image chain replaced: x conjugated
+    into the basis of generalized eigenvectors, then each diagonal block
+    minus its eigenvalue, with the vector's coordinates in that block,
+    identified as a nilpotent pair of its own size (by whole powers)."""
+    f = e.field
+    eig, p_mat, p_inv = generalized_eigenbasis(e.x)
+    x_conj = p_inv.mul(e.x).mul(p_mat).rows
+    coords = p_inv.mul_vec(e.v).entries
+    blocks, off = [], 0
+    for a, m in eig:
+        end = off + m
+        block = Mat(f, tuple(row[off:end] for row in x_conj[off:end]))
+        blocks.append(full_power_orbit(Vec(f, coords[off:end]), block.sub(Mat.scalar(f, m, a))))
+        off = end
+    return ClassLabel(tuple(m for _, m in eig), tuple(blocks))
+
+
+def test_identify_class_matches_the_eigenbasis_route():
+    # per field and n <= 6: class representatives with seeded eigenvalues
+    # (fractional ones over Q, so x has a denominator) and their conjugates
+    # by act, with the normal-form vector and with a random one; conjugated
+    # triangular matrices whose few diagonal values repeat, so several
+    # eigenvalues carry nilpotent blocks; and random matrices, whose
+    # spectrum often does not split
+    rng = random.Random(20)
+    seen = set()
+    nonsplit = 0
+    for field in (QQ, GF(2), GF(3), GF(7)):
+        p = field.char
+        pool = list(range(p)) if p else [Fraction(k, 2) for k in range(-5, 6)]
+        entry = ((lambda: rng.randrange(p)) if p
+                 else (lambda: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))))
+        for n in range(1, 7):
+            classes = [c for c in enumerate_classes(n) if len(c.lam) <= len(pool)]
+            for _ in range(8):
+                g = Mat(field, random_gl(n, rng).rows)
+                v = Vec(field, tuple(entry() for _ in range(n)))
+                c = rng.choice(classes)
+                rep = build_class_representative(c, rng.sample(pool, len(c.lam)), field)
+                diag = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+                tri = Mat(field, tuple(tuple(rng.choice(diag) if i == j else entry() if j > i else 0
+                                             for j in range(n)) for i in range(n)))
+                x = Mat(field, tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+                elements = [rep, act(g, rep), EnhancedElement(n, v, rep.x),
+                            act(g, EnhancedElement(n, v, tri)), EnhancedElement(n, v, x)]
+                for e in elements:
+                    try:
+                        want = eigenbasis_class_label(e)
+                    except NonSplitSpectrum:
+                        with pytest.raises(NonSplitSpectrum):
+                            identify_class(e)
+                        nonsplit += 1
+                        continue
+                    assert identify_class(e) == want, (e, want)
+                    # one or several eigenvalues; some block not the zero pair
+                    seen.add((p, len(want.lam) > 1, any(len(b.nu) != b.n for b in want.blocks)))
+    assert nonsplit > 20
+    assert seen == {(p, k, z) for p in (0, 2, 3, 7) for k in (False, True) for z in (False, True)}
 
 
 def test_build_class_representative_validation():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd
 
@@ -15,12 +16,16 @@ from nilcones.fields import GF, QQ, _is_prime
 from nilcones.linalg import (
     Mat,
     Vec,
+    _cyclic_basis,
     _echelon,
     _free_column_basis,
     _partition_from_ranks,
     _preimage,
     _rank_sequences,
     _residual,
+    _sp_basis,
+    _sp_kept_rows,
+    _stabilizer_equations,
     charpoly,
     det,
     echelon_patterns,
@@ -290,16 +295,18 @@ def test_image_chain_matches_full_powers():
                            Vec(field, tuple(entry() for _ in range(n))),
                            Vec(field, tuple(row[0] for row in x.rows))]
                 for v in vectors:
+                    # the eigenvalue 0 of multiplicity n, which holds iff x is nilpotent
+                    got = partial(_rank_sequences, x.num, p, n, _cyclic_basis(x, v))
                     try:
                         want = full_power_rank_sequences(x, v)
                     except NotNilpotent:
                         with pytest.raises(NotNilpotent):
-                            _rank_sequences(x, v)
+                            got()
                         with pytest.raises(NotNilpotent):
                             jordan_type_nilpotent(x)
                         raised += 1
                         continue
-                    assert _rank_sequences(x, v) == want
+                    assert got() == want
                     lam, sigma = want
                     assert jordan_type_nilpotent(x) == _partition_from_ranks(lam)
                     # one Jordan block of size n with v = e_n: W is all of k^n
@@ -955,8 +962,13 @@ def test_stabilizer_builder_matches_appended_omega_and_baseline(baseline):
                     stabilizer_dim_sp(Vec.zero(field, 2 * n), x)
                 refused += 1
                 continue
-            pairs.append((Vec.zero(field, 2 * n), x))
-            pairs.append((Vec(field, seeded_rows(rng, field, 1, 2 * n, zeros=0.2)[0]), x))
+            basis = _sp_basis(n)
+            for v in (Vec.zero(field, 2 * n),
+                      Vec(field, seeded_rows(rng, field, 1, 2 * n, zeros=0.2)[0])):
+                # the kept rows span the whole system's equations
+                assert (rank(_stabilizer_equations(v, x, basis, _sp_kept_rows(n)))
+                        == rank(_stabilizer_equations(v, x, basis)))
+                pairs.append((v, x))
     nonzero = 0
     for v, x in pairs:
         want = base.stabilizer_dim_sp(base.Vec(bfields[x.field], v.entries),
