@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 import random
 import time
-from itertools import product
+from itertools import chain, product
 
 from .errors import BudgetExceeded
 from .fields import QQ
@@ -100,6 +100,15 @@ class _Checker:
         })
         self._last = now
 
+    def each(self, name, items, ok):
+        """One check over ``items``: it counts them, passes when ``ok(item)``
+        holds on every one, and names the first three failures."""
+        count, failures = 0, []
+        for count, item in enumerate(items, 1):
+            if not ok(item):
+                failures.append(item)
+        self.add(name, not failures, count, "; ".join(map(str, failures[:3])))
+
 
 def _compositions(n):
     """All ordered compositions of n."""
@@ -131,40 +140,30 @@ def suite_doubling(n):
     if n > 4:
         raise BudgetExceeded("doubling suite capped at n <= 4")
     checker = _Checker()
-    count = bad_double = bad_transfer = 0
-    details = []
+    # (label, enhanced dim, exotic dim, GL_2n label, GL_2n dim) per label
+    rows = []
     for m in range(1, n + 1):
-        dim_sp = 2 * m * m + m
         for b in enumerate_bipartitions(m):
             rep = build_representative(b)
-            enh = m * m - stabilizer_dim_gl(rep.v, rep.x)
             exo_rep = embed_phi(rep)
-            exo = dim_sp - stabilizer_dim_sp(exo_rep.v, exo_rep.x)
             big_rep = embed_psi(exo_rep)
-            big = 4 * m * m - stabilizer_dim_gl(big_rep.v, big_rep.x)
-            count += 1
-            expected = orbit_dim(b)
-            if not (enh == expected and exo == 2 * expected == exotic_orbit_dim(b)):
-                bad_double += 1
-                details.append(f"{b}: enh={enh} exo={exo} formula={expected}")
-            if not (identify_orbit(big_rep) == double(b)
-                    and big == orbit_dim(double(b)) == 4 * expected - 2 * sum(b.mu)):
-                bad_transfer += 1
-                details.append(f"{b}: gl2n={big} doubled-label dim={orbit_dim(double(b))}")
-    checker.add("sp stabilizer oracle doubles the enhanced dimension",
-                bad_double == 0, count, "; ".join(details[:4]))
-    checker.add("gl_2n oracle matches the doubled label (4*dim - 2|mu|)",
-                bad_transfer == 0, count, "; ".join(details[:4]))
+            rows.append((b, m * m - stabilizer_dim_gl(rep.v, rep.x),
+                         2 * m * m + m - stabilizer_dim_sp(exo_rep.v, exo_rep.x),
+                         identify_orbit(big_rep),
+                         4 * m * m - stabilizer_dim_gl(big_rep.v, big_rep.x)))
+
+    def doubles(row):
+        b, enh, exo, _, _ = row
+        return enh == orbit_dim(b) and exo == 2 * enh == exotic_orbit_dim(b)
+
+    def transfers(row):
+        b, _, _, label, big = row
+        return (label == double(b)
+                and big == orbit_dim(label) == 4 * orbit_dim(b) - 2 * sum(b.mu))
+
+    checker.each("sp stabilizer oracle doubles the enhanced dimension", rows, doubles)
+    checker.each("gl_2n oracle matches the doubled label (4*dim - 2|mu|)", rows, transfers)
     return checker.checks
-
-
-def _rule_against_oracle(checker, name, labels, oracle):
-    """Check the combinatorial closure order against ``oracle(b1, b2)`` on
-    every ordered pair of labels, as one check: an empty mismatch list
-    certifies the rule on these labels."""
-    mismatches = [(b1, b2, want, got) for b1 in labels for b2 in labels
-                  if (want := ah_closure_leq(b1, b2)) != (got := oracle(b1, b2))]
-    checker.add(name, not mismatches, len(labels) ** 2, str(mismatches[:3]))
 
 
 def suite_closure(n, p):
@@ -173,13 +172,15 @@ def suite_closure(n, p):
     the point count of the orbits the walk finds."""
     checker = _Checker()
     labels = enumerate_bipartitions(n)
-    _rule_against_oracle(checker, f"flag oracle agrees at n={n}, p={p}", labels,
-                         lambda b1, b2: closure_oracle_flag(b1, b2, p))
-    _rule_against_oracle(checker, "flag oracle independent of block ordering", labels,
-                         lambda b1, b2: closure_oracle_flag(b1, b2, p, alt_order=True))
+    pairs = list(product(labels, repeat=2))
+    checker.each(f"flag oracle agrees at n={n}, p={p}", pairs,
+                 lambda pair: closure_oracle_flag(*pair, p) == ah_closure_leq(*pair))
+    checker.each("flag oracle independent of block ordering", pairs,
+                 lambda pair: (closure_oracle_flag(*pair, p, alt_order=True)
+                               == ah_closure_leq(*pair)))
     if n <= SWEEP_ORACLE_BUDGET_N:
-        _rule_against_oracle(checker, f"group sweep agrees at n={n}, p={p}", labels,
-                             lambda b1, b2: closure_oracle_sweep(b1, b2, p))
+        checker.each(f"group sweep agrees at n={n}, p={p}", pairs,
+                     lambda pair: closure_oracle_sweep(*pair, p) == ah_closure_leq(*pair))
         # the orbits partition the p^n * p^(n^2 - n) points of the nilcone
         # (Fine-Herstein count of nilpotent matrices)
         orbits = [set(_orbit_walk(*_normal_form(b), p)) for b in labels]
@@ -197,61 +198,42 @@ def suite_induction(n):
     if n > 6:
         raise BudgetExceeded("induction suite capped at n <= 6")
     checker = _Checker()
+    # each datum with its induced label, which every refinement chain reuses
+    data = [(d, induce(d)) for comp in _compositions(n) for d in _all_data(comp)]
 
-    count = bad = 0
-    for comp in _compositions(n):
-        for d in _all_data(comp):
-            induced = induce(d)
-            codim_blocks = sum(size + size * size - orbit_dim(b)
-                               for size, b in zip(comp, d.per_block))
-            count += 1
-            if n + n * n - orbit_dim(induced) != codim_blocks:
-                bad += 1
-    checker.add("induction preserves codimension", bad == 0, count)
+    def preserves_codimension(item):
+        d, induced = item
+        codim_blocks = sum(size + size * size - orbit_dim(b)
+                           for size, b in zip(d.composition.parts, d.per_block))
+        return n + n * n - orbit_dim(induced) == codim_blocks
 
-    count = bad = 0
-    for comp in _compositions(n):
-        for grouping in _compositions(len(comp)):
-            # grouping partitions the blocks of comp into consecutive runs
-            coarse = []
-            idx = 0
-            for g in grouping:
-                coarse.append(sum(comp[idx:idx + g]))
-                idx += g
-            for d in _all_data(comp):
-                one_step = induce(d)
-                idx = 0
-                coarse_blocks = []
-                for g, size in zip(grouping, coarse):
-                    sub = InductionDatum(Composition(comp[idx:idx + g], k=0),
-                                         d.per_block[idx:idx + g])
-                    coarse_blocks.append(induce(sub))
-                    idx += g
-                two_step = induce(InductionDatum(Composition(tuple(coarse), k=0),
-                                                 tuple(coarse_blocks)))
-                count += 1
-                if one_step != two_step:
-                    bad += 1
-    checker.add("induction is transitive", bad == 0, count)
+    checker.each("induction preserves codimension", data, preserves_codimension)
 
-    count = bad = 0
-    for m in range(1, min(n, 8) + 1):
-        rigid = [b for b in enumerate_bipartitions(m) if is_rigid(b)]
-        if len(rigid) != 2:
-            bad += 1
-        for b in enumerate_bipartitions(m):
-            count += 1
-            if induce_from_vector(rigid_datum(b)) != b:
-                bad += 1
-    checker.add("two rigid orbits; rigid datum round-trips", bad == 0, count)
+    def transitive(chain):
+        # grouping partitions the blocks of d into consecutive runs: induce
+        # within each run, then from the coarse Levi of the runs
+        d, induced, grouping = chain
+        parts, blocks, idx = d.composition.parts, [], 0
+        for g in grouping:
+            blocks.append(induce(InductionDatum(Composition(parts[idx:idx + g], k=0),
+                                                d.per_block[idx:idx + g])))
+            idx += g
+        coarse = Composition(tuple(b.n for b in blocks), k=0)
+        return induced == induce(InductionDatum(coarse, tuple(blocks)))
 
-    count = bad = 0
-    for b in enumerate_bipartitions(min(n, 5)):
-        rep = induction_representative(rigid_datum(b))
-        count += 1
-        if identify_orbit(rep) != b:
-            bad += 1
-    checker.add("column construction lands in the induced orbit", bad == 0, count)
+    checker.each("induction is transitive",
+                 ((d, induced, grouping) for d, induced in data
+                  for grouping in _compositions(len(d.composition.parts))),
+                 transitive)
+
+    # each label of size m <= n round-trips, and there are two rigid ones
+    rigid_counts = {m: sum(map(is_rigid, enumerate_bipartitions(m))) for m in range(1, n + 1)}
+    checker.each("two rigid orbits; rigid datum round-trips",
+                 (b for m in range(1, n + 1) for b in enumerate_bipartitions(m)),
+                 lambda b: rigid_counts[b.n] == 2 and induce_from_vector(rigid_datum(b)) == b)
+    checker.each("column construction lands in the induced orbit",
+                 enumerate_bipartitions(min(n, 5)),
+                 lambda b: identify_orbit(induction_representative(rigid_datum(b))) == b)
     return checker.checks
 
 
@@ -267,94 +249,68 @@ def suite_classes(n, seed=DEFAULT_SEED):
 
     checker.add("enumeration matches multiset count formula",
                 len(classes) == class_count_formula(n), len(classes))
+    sheets = enumerate_sheets(n)
     checker.add("sheet count formula matches enumeration",
-                len(enumerate_sheets(n)) == sheet_count_formula(n),
-                len(enumerate_sheets(n)))
+                len(sheets) == sheet_count_formula(n), len(sheets))
+    checker.each("reflexivity and exotic dimension law", classes,
+                 lambda c: class_closure_leq(c, c) and class_dim_exotic(c) - len(c.lam)
+                 == 2 * (class_dim_enhanced(c) - len(c.lam)))
 
-    bad = 0
-    for c in classes:
-        if not class_closure_leq(c, c):
-            bad += 1
-        if class_dim_exotic(c) - len(c.lam) != 2 * (class_dim_enhanced(c) - len(c.lam)):
-            bad += 1
-    checker.add("reflexivity and exotic dimension law", bad == 0, len(classes))
+    # each class's dimensions once, not once per pair, in lists zipped with
+    # classes (a ClassLabel dict key rehashes every field on each lookup)
+    with_dims = list(zip(classes, map(class_dim_enhanced, classes)))
+    checker.each("closure order is dimension monotone",
+                 [(a, b) for a in with_dims for b in with_dims if class_closure_leq(a[0], b[0])],
+                 lambda pair: pair[0][1] <= pair[1][1])
 
-    # each class's dimensions once, not once per pair
-    dims = [class_dim_enhanced(c) for c in classes]
-    count = bad = 0
-    for c1, d1 in zip(classes, dims):
-        for c2, d2 in zip(classes, dims):
-            if class_closure_leq(c1, c2):
-                count += 1
-                if d1 > d2:
-                    bad += 1
-    checker.add("closure order is dimension monotone", bad == 0, count)
-
-    count = bad = 0
     nilpotent = [c for c in classes if len(c.lam) == 1]
-    for c1 in nilpotent:
-        for c2 in nilpotent:
-            count += 1
-            if class_closure_leq(c1, c2) != ah_closure_leq(c1.blocks[0], c2.blocks[0]):
-                bad += 1
-    checker.add("on nilpotent classes the order is the orbit order",
-                bad == 0, count)
+    checker.each("on nilpotent classes the order is the orbit order",
+                 product(nilpotent, repeat=2),
+                 lambda pair: class_closure_leq(*pair)
+                 == ah_closure_leq(pair[0].blocks[0], pair[1].blocks[0]))
 
+    # equal dimension: each block of c1 is exactly the induced label
     orbit_dims = [class_orbit_dim(c) for c in classes]
-    count = bad = 0
-    for c1, o1 in zip(classes, orbit_dims):
-        for c2, o2 in zip(classes, orbit_dims):
-            if o1 != o2:
-                continue
-            count += 1
-            # equal dimension: each block of c1 is exactly the induced label
-            if class_closure_leq(c1, c2) != merge_exists(c1, c2, operator.eq):
-                bad += 1
-    checker.add("equal-dimension pairs match the dense-sheet criterion",
-                bad == 0, count)
+    with_orbit_dims = list(zip(classes, orbit_dims))
+    checker.each("equal-dimension pairs match the dense-sheet criterion",
+                 [(c1, c2) for c1, o1 in with_orbit_dims for c2, o2 in with_orbit_dims
+                  if o1 == o2],
+                 lambda pair: class_closure_leq(*pair) == merge_exists(*pair, operator.eq))
 
-    count = bad = 0
-    for c in classes:
-        doubled = ClassLabel(tuple(2 * p for p in c.lam),
-                             tuple(double(b) for b in c.blocks))
-        count += 1
-        if double(class_nilcone_orbit(c)) != class_nilcone_orbit(doubled):
-            bad += 1
-    checker.add("nilcone orbit intertwines doubling", bad == 0, count)
+    def doubling_intertwined(c):
+        doubled = ClassLabel(tuple(2 * p for p in c.lam), tuple(double(b) for b in c.blocks))
+        return double(class_nilcone_orbit(c)) == class_nilcone_orbit(doubled)
 
-    count = bad = 0
-    for c in rng.sample(classes, min(len(classes), IDENTIFY_SAMPLE)):
-        ell = len(c.lam)
+    checker.each("nilcone orbit intertwines doubling", classes, doubling_intertwined)
+
+    def identification_constant(c):
         base = build_class_representative(c)
-        scalars = rng.sample(range(10, 60), ell)
-        moved = build_class_representative(c, tuple(scalars))
+        moved = build_class_representative(c, tuple(rng.sample(range(10, 60), len(c.lam))))
         g = random_gl(c.n, rng)
-        count += 1
-        if identify_class(base) != c or identify_class(moved) != c \
-                or identify_class(act(g, base)) != c:
-            bad += 1
-    checker.add("identification constant along class curves and orbits",
-                bad == 0, count)
+        return identify_class(base) == identify_class(moved) == identify_class(act(g, base)) == c
+
+    checker.each("identification constant along class curves and orbits",
+                 rng.sample(classes, min(len(classes), IDENTIFY_SAMPLE)), identification_constant)
 
     # the rank strata the maximality check groups by are read off
     # class_orbit_dim, so each class's value is checked against n^2 minus
     # the stabilizer dimension of a representative
-    reps = map(build_class_representative, classes)
-    bad = sum(o != n * n - stabilizer_dim_gl(r.v, r.x) for o, r in zip(orbit_dims, reps))
-    checker.add("class orbit dimensions match stabilizers", bad == 0, len(classes))
+    strata = list(zip(classes, orbit_dims, map(build_class_representative, classes)))
+    checker.each("class orbit dimensions match stabilizers", strata,
+                 lambda s: s[1] == n * n - stabilizer_dim_gl(s[2].v, s[2].x))
 
     # the exotic rank strata: embed_phi of a representative has an Sp_2n
     # orbit of twice the class's GL_n orbit dimension, and identifies back
     # to the class through GL_2n (the image chain at size 2n); the check
-    # takes about 0.2 s at n = 4 and 1.4 s at n = 5
-    bad = 0
-    for c, o in zip(classes, orbit_dims):
-        e = embed_phi(build_class_representative(c))
-        if (2 * n * n + n - stabilizer_dim_sp(e.v, e.x) != 2 * o
-                or identify_exotic_class(e) != c):
-            bad += 1
-    checker.add("exotic class orbit dimensions match stabilizers and identification",
-                bad == 0, len(classes))
+    # takes about 0.1 s at n = 4 and 0.5 s at n = 5
+    def exotic_stratum(stratum):
+        c, o, rep = stratum
+        e = embed_phi(rep)
+        return (2 * n * n + n - stabilizer_dim_sp(e.v, e.x) == 2 * o
+                and identify_exotic_class(e) == c)
+
+    checker.each("exotic class orbit dimensions match stabilizers and identification",
+                 strata, exotic_stratum)
 
     checker.add("stratum-maximal classes are the sheets", sheets_are_maximal_check(n),
                 len(classes))
@@ -363,64 +319,55 @@ def suite_classes(n, seed=DEFAULT_SEED):
 
 def suite_quotient(n, p=3, seed=DEFAULT_SEED):
     """Invariant compatibility through the symplectic embedding, vanishing
-    on exactly the nilpotent pairs, conjugation invariance, and the finite
-    field fiber census."""
+    on exactly the nilpotent pairs (the orbit representatives among them)
+    and conjugation invariance, on 200 seeded elements of each size m <= n,
+    and the finite field fiber census."""
     if n > 4:
         raise BudgetExceeded("quotient suite capped at n <= 4")
     rng = random.Random(seed)
     checker = _Checker()
-    samples = 200
 
-    count = bad = 0
-    for _ in range(samples):
-        m = rng.randint(1, n)
-        x = Mat(QQ, tuple(tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(m)))
-        v = Vec(QQ, tuple(rng.randint(-3, 3) for _ in range(m)))
-        e = EnhancedElement(m, v, x)
-        count += 1
-        if exotic_invariants(embed_phi(e)).coefficients != enhanced_invariants(e).coefficients:
-            bad += 1
-    checker.add("exotic invariants of the embedding match", bad == 0, count)
+    def elements(bound):
+        # 200 seeded pairs of each size m <= n, entries in [-bound, bound]
+        for m in range(1, n + 1):
+            for _ in range(200):
+                x = Mat(QQ, tuple(tuple(rng.randint(-bound, bound) for _ in range(m))
+                                  for _ in range(m)))
+                v = Vec(QQ, tuple(rng.randint(-bound, bound) for _ in range(m)))
+                yield EnhancedElement(m, v, x)
 
-    count = bad = 0
-    for m in range(1, n + 1):
-        for b in enumerate_bipartitions(m):
-            rep = build_representative(b)
-            count += 1
-            if not enhanced_invariants(rep).is_zero():
-                bad += 1
-    for _ in range(samples):
-        m = rng.randint(1, n)
-        x = Mat(QQ, tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(m)))
-        e = EnhancedElement(m, Vec.zero(QQ, m), x)
-        count += 1
-        power = Mat.identity(QQ, m)
-        for _ in range(m):
-            power = power.mul(x)
-        if enhanced_invariants(e).is_zero() != power.is_zero():
-            bad += 1
-    checker.add("invariants vanish exactly on nilpotent pairs", bad == 0, count)
+    def invariants(e):
+        if isinstance(e, ExoticElement):
+            return exotic_invariants(e).coefficients
+        return enhanced_invariants(e).coefficients
 
-    count = bad = 0
-    for _ in range(samples):
-        m = rng.randint(1, n)
-        x = Mat(QQ, tuple(tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(m)))
-        v = Vec(QQ, tuple(rng.randint(-3, 3) for _ in range(m)))
-        e = EnhancedElement(m, v, x)
-        base = enhanced_invariants(e).coefficients
-        exo = embed_phi(e)
-        exo_base = exotic_invariants(exo).coefficients
-        for _ in range(20):
-            g = random_gl(m, rng)
-            if enhanced_invariants(act(g, e)).coefficients != base:
-                bad += 1
-            s = random_sp(m, rng, steps=2)
-            moved = ExoticElement(m, s.mul_vec(exo.v), s.mul(exo.x).mul(inverse(s)))
-            if exotic_invariants(moved).coefficients != exo_base:
-                bad += 1
-            count += 2
-    checker.add("invariants constant under 20 conjugations per element",
-                bad == 0, count)
+    checker.each("exotic invariants of the embedding match", elements(3),
+                 lambda e: invariants(embed_phi(e)) == invariants(e))
+
+    def vanishes_iff_nilpotent(e):
+        power = Mat.identity(QQ, e.n)
+        for _ in range(e.n):
+            power = power.mul(e.x)
+        return enhanced_invariants(e).is_zero() == power.is_zero()
+
+    representatives = (build_representative(b)
+                       for m in range(1, n + 1) for b in enumerate_bipartitions(m))
+    checker.each("invariants vanish exactly on nilpotent pairs",
+                 chain(elements(2), representatives), vanishes_iff_nilpotent)
+
+    def conjugates():
+        # (invariants, conjugate): each element under 20 GL_n conjugations,
+        # its embedding under 20 Sp_2n conjugations
+        for e in elements(3):
+            exo = embed_phi(e)
+            base, exo_base = invariants(e), invariants(exo)
+            for _ in range(20):
+                yield base, act(random_gl(e.n, rng), e)
+                s = random_sp(e.n, rng, steps=2)
+                yield exo_base, ExoticElement(e.n, s.mul_vec(exo.v), s.mul(exo.x).mul(inverse(s)))
+
+    checker.each("invariants constant under 20 conjugations per element", conjugates(),
+                 lambda pair: invariants(pair[1]) == pair[0])
 
     # past its cap on p the census counts nothing, so it is reported skipped
     m = min(n, 2)

@@ -38,7 +38,6 @@ from nilcones.enhanced import (
 from nilcones.exotic import ExoticElement, embed_phi, exotic_orbit_dim
 from nilcones.jordan_classes import class_count_formula, enumerate_classes
 from nilcones.sheets import (
-    enhanced_invariants,
     enumerate_sheets,
     exotic_invariants,
     sheet_count_formula,
@@ -248,48 +247,26 @@ def test_criterion_08_class_and_sheet_counts(capsys):
 
 
 def test_criterion_09_quotient_compatibility(capsys):
-    from nilcones.enhanced import EnhancedElement, act
-    from nilcones.linalg import random_gl
-
-    rng = random.Random(90)
-    compat_bad = vanish_bad = conj_bad = 0
-    checked = 0
-    for n in range(1, 5):
-        for _ in range(200):
-            x = Mat(QQ, tuple(tuple(rng.randint(-3, 3) for _ in range(n))
-                              for _ in range(n)))
-            v = Vec(QQ, tuple(rng.randint(-3, 3) for _ in range(n)))
-            e = EnhancedElement(n, v, x)
-            checked += 1
-            base = enhanced_invariants(e)
-            exo = embed_phi(e)
-            if exotic_invariants(exo).coefficients != base.coefficients:
-                compat_bad += 1
-            power = Mat.identity(QQ, n)
-            for _ in range(n):
-                power = power.mul(x)
-            if base.is_zero() != power.is_zero():
-                vanish_bad += 1
-            for _ in range(20):
-                g = random_gl(n, rng)
-                if enhanced_invariants(act(g, e)).coefficients != base.coefficients:
-                    conj_bad += 1
-                s = random_sp(n, rng, steps=2)
-                moved = ExoticElement(n, s.mul_vec(exo.v), s.mul(exo.x).mul(inverse(s)))
-                if exotic_invariants(moved).coefficients != base.coefficients:
-                    conj_bad += 1
-    # vanishing must also hold on all orbit representatives
-    for n in range(1, 5):
-        for b in enumerate_bipartitions(n):
-            checked += 1
-            if not enhanced_invariants(build_representative(b)).is_zero():
-                vanish_bad += 1
-    ok = compat_bad == vanish_bad == conj_bad == 0
+    # the quotient suite at (4, 3): 200 seeded elements of each size m <= 4,
+    # 20 GL and 20 Sp conjugations each, the 37 orbit representatives among
+    # the vanishing cases, and the fiber census at n = 2 over F_3
+    checks = run_suite("quotient", 4, 3)["checks"]
+    compat, vanish, conj, census = checks
+    labels = sum(len(enumerate_bipartitions(n)) for n in range(1, 5))
+    assert {c["name"]: c["count"] for c in checks} == {
+        "exotic invariants of the embedding match": 800,
+        "invariants vanish exactly on nilpotent pairs": 800 + labels,
+        "invariants constant under 20 conjugations per element": 800 * 40,
+        "fiber census at n=2 over F_3: 9 fibers, 162 non-split points": 3 ** 6,
+    }
+    failed = [c for c in checks if c["status"] != "pass"]
     with capsys.disabled():
-        report(9, ok, f"{checked} seeded elements: embedding-compatibility "
-                      f"({compat_bad} bad), vanishing iff nilpotent "
-                      f"({vanish_bad} bad), 20 conjugations each ({conj_bad} bad)")
-    assert ok
+        report(9, not failed, f"{vanish['count']} seeded elements and representatives: "
+                              f"embedding-compatibility {compat['status']} on {compat['count']}, "
+                              f"vanishing iff nilpotent {vanish['status']}, "
+                              f"{conj['count']} conjugations {conj['status']}, "
+                              f"fiber census {census['status']} on {census['count']} points")
+    assert not failed, failed
 
 
 def test_criterion_10_jkv_replay(capsys):
