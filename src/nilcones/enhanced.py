@@ -368,10 +368,13 @@ def _conjugations(n, p):
     return maps
 
 
-def _orbit_table(start, maps):
-    """The orbit of ``start`` under ``maps``, breadth first, as (points,
-    successors): ``successors[g][i]`` is the index of maps[g](points[i])."""
-    points, index = [start], {start: 0}
+def _orbit_table(starts, maps):
+    """The points reached from ``starts`` (distinct points) under ``maps``,
+    breadth first, as (points, successors): ``successors[g][i]`` is the
+    index of maps[g](points[i]).  One start gives the orbit of one point;
+    a whole space closed under the maps gives that space, in its order."""
+    points = list(starts)
+    index = {pt: i for i, pt in enumerate(points)}
     successors = [[] for _ in maps]
     for pt in points:
         for g, row in zip(maps, successors):
@@ -387,24 +390,25 @@ def _orbit_tables(xrows, ventries, p):
     """(vs, v_next, xs, x_next): the :func:`_orbit_table` of v and of the
     flat tuple of the rows of x under the maps of :func:`_conjugations`."""
     maps = _conjugations(len(ventries), p)
-    vs, v_next = _orbit_table(tuple(ventries), [g for g, _ in maps])
-    xs, x_next = _orbit_table(tuple(e for row in xrows for e in row), [h for _, h in maps])
+    vs, v_next = _orbit_table([tuple(ventries)], [g for g, _ in maps])
+    xs, x_next = _orbit_table([tuple(e for row in xrows for e in row)], [h for _, h in maps])
     return vs, v_next, xs, x_next
 
 
-def _orbit_pairs(v_next, x_next, size):
-    """Breadth-first walk of the index pairs (vi, xi) of the orbit points,
-    from (0, 0), each once: v_next and x_next are the successor tables of
-    the v-orbit and of the x-orbit (of ``size`` points) under the same maps.
+def _orbit_pairs(v_next, x_next, size, start, seen):
+    """Breadth-first walk of the index pairs (vi, xi) of one orbit, each
+    once, from the code start = vi * size + xi: v_next and x_next are the
+    successor tables of the v-points and of the x-points (``size`` of
+    them) under the same maps, and each code walked is marked in the
+    caller's bytearray ``seen``, one byte per code.
 
     The group acts on v and on x apart, so one orbit point is one pair of
     indices: the walk holds a byte per pair and a queue entry per orbit
     point, not the points themselves.
     """
-    seen = bytearray((len(v_next[0]) if v_next else 1) * size)
-    seen[0] = 1
-    queue = array("i", [0])
-    yield 0, 0
+    seen[start] = 1
+    queue = array("i", [start])
+    yield divmod(start, size)
     for code in queue:
         vi, xi = divmod(code, size)
         for v_row, x_row in zip(v_next, x_next):
@@ -422,7 +426,7 @@ def _orbit_walk(xrows, ventries, p):
     v + rows of x, starting with (v, x) itself, in the order of
     :func:`_orbit_pairs`."""
     vs, v_next, xs, x_next = _orbit_tables(xrows, ventries, p)
-    for vi, xi in _orbit_pairs(v_next, x_next, len(xs)):
+    for vi, xi in _orbit_pairs(v_next, x_next, len(xs), 0, bytearray(len(vs) * len(xs))):
         yield vs[vi] + xs[xi]
 
 
@@ -454,4 +458,5 @@ def closure_oracle_sweep(b_small, b_big, p):
     x_ok = [not any(map(x.__getitem__, x_vanish)) for x in xs]
     if not any(v_ok) or not any(x_ok):
         return False
-    return any(v_ok[vi] and x_ok[xi] for vi, xi in _orbit_pairs(v_next, x_next, len(xs)))
+    seen = bytearray(len(vs) * len(xs))
+    return any(v_ok[vi] and x_ok[xi] for vi, xi in _orbit_pairs(v_next, x_next, len(xs), 0, seen))

@@ -185,13 +185,8 @@ def identify_class(e):
     chain of x - a on k^n, with no eigenbasis
     (:func:`nilcones.linalg._eigenspace_types`).
     """
-    return _class_of(e.v, e.x, eigenvalues_with_multiplicity(e.x))
-
-
-def _class_of(v, x, eig):
-    """Class label of (v, x), given eig, the (eigenvalue, multiplicity)
-    pairs of x."""
-    return ClassLabel(tuple(m for _, m in eig), tuple(_eigenspace_types(x, v, eig)))
+    eig = eigenvalues_with_multiplicity(e.x)
+    return ClassLabel(tuple(m for _, m in eig), tuple(_eigenspace_types(e.x, e.v, eig)))
 
 
 def identify_exotic_class(e):

@@ -321,7 +321,8 @@ def suite_quotient(n, p=3, seed=DEFAULT_SEED):
     """Invariant compatibility through the symplectic embedding, vanishing
     on exactly the nilpotent pairs (the orbit representatives among them)
     and conjugation invariance, on 200 seeded elements of each size m <= n,
-    and the finite field fiber census."""
+    and the finite field fiber census, each split fiber of which must hold
+    exactly the classes of one lam."""
     if n > 4:
         raise BudgetExceeded("quotient suite capped at n <= 4")
     rng = random.Random(seed)
@@ -378,10 +379,15 @@ def suite_quotient(n, p=3, seed=DEFAULT_SEED):
         return checker.checks
     total = sum(sum(d.values()) for d in fibers.values()) + nonsplit
     surjective = len(fibers) == p ** m
-    finite = all(len(d) <= class_count_formula(m) for d in fibers.values())
+    # a split fiber fixes the eigenvalue multiplicities, so lam, and holds
+    # every class of that lam
+    of_lam = {}
+    for c in enumerate_classes(m):
+        of_lam.setdefault(c.lam, set()).add(c)
+    exact = all(not d or set(d) == of_lam[next(iter(d)).lam] for d in fibers.values())
     checker.add(f"fiber census at n={m} over F_{p}: {len(fibers)} fibers, "
                 f"{nonsplit} non-split points",
-                total == p ** (m + m * m) and surjective and finite, total)
+                total == p ** (m + m * m) and surjective and exact, total)
     return checker.checks
 
 
