@@ -617,8 +617,8 @@ def _eigenspace_types(x, v, eig):
     """The Bipartition of the nilpotent pair (v_a, x - a) on each generalized
     eigenspace V_a of x, one per (a, m) of eig, v_a the component of v: the
     rank sequences of y = s (d x) - r d I, for a = r / s in lowest terms and
-    d the denominator of x, through the normal-form table in
-    :mod:`nilcones.partitions`.  One basis of k[x]v serves every a."""
+    d the denominator of x, through the recurrence of
+    :func:`nilcones.partitions.bipartition_from_invariants`.  One basis of k[x]v serves every a."""
     n, p, d = x.nrows, x.field.char, x.den
     if v.dim != n:
         raise SizeMismatch("vector/matrix dims differ")

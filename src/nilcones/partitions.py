@@ -12,13 +12,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, zip_longest
 from operator import index, le
 
-from .errors import BudgetExceeded, InvariantViolation, ParseError, SizeMismatch
+from .errors import BudgetExceeded, ParseError, SizeMismatch
 
 ENUMERATION_BUDGET = 30
-IDENTIFY_BUDGET = 16
 
 
 def positive_parts(parts):
@@ -206,79 +205,36 @@ def ah_closure_leq(b1, b2):
     return _sums_leq(_prefix_sums(b1, 2 * n), _prefix_sums(b2, 2 * n))
 
 
-# ---------------------------------------------------------------------------
-# orbit invariants
-#
-# For the normal-form representative of (mu; nu) -- chains of lengths
-# lam_i = mu_i + nu_i with the marked vector sitting at depth mu_i in chain i
-# -- two quantities are conjugation invariants of the pair (v, x):
-#   * lam, the Jordan type of x, and
-#   * sigma, the Jordan type of x on k^n / k[x]v  (quotient by the cyclic
-#     subspace generated by v).
-# ``cyclic_quotient_type`` computes sigma directly from (mu; nu), and the
-# cached table below inverts (lam, sigma) back to the bipartition.  The
-# inversion is exercised by an exhaustive injectivity check at build time.
-# ---------------------------------------------------------------------------
-
-
-def cyclic_quotient_type(b):
-    """Jordan type of x on k^n / k[x]v for the normal representative of b.
-
-    Derivation: x^m v has its chain-i component at depth mu_i - m, which
-    lies in the image of x^j exactly when j <= m + min{nu_i : mu_i > m};
-    the quotient rank at power j follows by inclusion-exclusion.
-    """
-    mu, nu = b.mu, b.nu
-    lam = add(mu, nu)
-    n = b.n
-    m1 = mu[0] if mu else 0
-
-    def g(m):
-        k = sum(1 for p in mu if p > m)
-        return nu[k - 1] if k - 1 < len(nu) else 0
-
-    def quotient_rank(j):
-        full = sum(max(p - j, 0) for p in lam)
-        in_w = sum(1 for m in range(m1) if m + g(m) >= j)
-        return full - in_w
-
-    col = []
-    j = 1
-    prev = quotient_rank(0)
-    if prev != n - m1:
-        raise InvariantViolation(f"quotient rank {prev} at power 0, not n - mu_1 = {n - m1}")
-    while prev > 0:
-        cur = quotient_rank(j)
-        col.append(prev - cur)
-        prev = cur
-        j += 1
-    return transpose(tuple(col))
-
-
-@lru_cache(maxsize=None)
-def _invariant_table(n):
-    table = {}
-    for b in enumerate_bipartitions(n):
-        key = (add(b.mu, b.nu), cyclic_quotient_type(b))
-        if key in table:
-            raise InvariantViolation(f"invariant collision at n={n}: {table[key]} vs {b}")
-        table[key] = b
-    return table
-
-
 def bipartition_from_invariants(n, lam, sigma):
     """Recover the orbit label from the pair (Jordan type, quotient type).
 
-    The table is complete: every nilpotent pair realises the invariants of
-    exactly one normal form.
+    Achar and Henderson fix the orbit of (v, x) by lam, the Jordan type of
+    x, and sigma, the Jordan type of x on k^n / k[x]v.  In the normal form
+    of (mu; nu), chain i has length lam_i = mu_i + nu_i and v sits at depth
+    mu_i.  With e_(j, d) the vector at depth d of chain j, the vector
+    t_i = sum_(j <= i) e_(j, mu_j + nu_i) has x^(nu_i) t_i =
+    sum_(j <= i) e_(j, mu_j), which is -sum_(j > i) e_(j, mu_j) modulo k[x]v;
+    x kills that after mu_(i+1) more steps.  So the chains of x on the
+    quotient have lengths sigma_i = nu_i + mu_(i+1), n - mu_1 in all, and
+    the label is read back by mu_1 = n - |sigma|, nu_i = lam_i - mu_i and
+    mu_(i+1) = sigma_i - nu_i.  Where that yields no pair of partitions
+    with these invariants, no orbit of size n has them: ValueError.
     """
-    if n > IDENTIFY_BUDGET:
-        raise BudgetExceeded(f"orbit identification capped at n <= {IDENTIFY_BUDGET}")
-    key = (tuple(lam), tuple(sigma))
-    table = _invariant_table(n)
-    if key not in table:
-        raise ValueError(f"no orbit of size {n} has invariants {key}")
-    return table[key]
+    lam, sigma = tuple(lam), tuple(sigma)
+    ok = sum(lam) == n and len(sigma) <= len(lam) and 0 not in lam and 0 not in sigma
+    mu, nu = [], []
+    m, mu_top, nu_top = n - sum(sigma), n, n
+    for part, s in zip_longest(lam, sigma, fillvalue=0):
+        r = part - m
+        ok = ok and 0 <= m <= mu_top and 0 <= r <= nu_top
+        if m:
+            mu.append(m)
+        if r:
+            nu.append(r)
+        mu_top, nu_top, m = m, r, s - r
+    if not ok or m:
+        raise ValueError(f"no orbit of size {n} has invariants {(lam, sigma)}")
+    return Bipartition._of(tuple(mu), tuple(nu))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from nilcones.partitions import (
     _prefix_sums,
     _sums_leq,
     ah_closure_leq,
-    bipartition_from_invariants,
     double,
     enumerate_bipartitions,
     sum_bipartitions,
@@ -114,10 +113,10 @@ def test_identify_class_constant_on_classes():
             assert identify_class(act(g, alt)) == c
 
 
-def full_power_orbit(v, x):
-    """The orbit label of a nilpotent pair (v, x) from the ranks of whole
-    powers of x, rank [x^i | W] - dim W for W = 0 and for W = k[x]v, with
-    no image chain."""
+def whole_power_types(v, x):
+    """(lam, sigma), the Jordan types of a nilpotent x and of x on
+    k^n / k[x]v, from the ranks of whole powers of x, rank [x^i | W] - dim W
+    for W = 0 and for W = k[x]v, with no image chain."""
     f, n = x.field, x.nrows
     cyclic, w = [], v
     while not w.is_zero():
@@ -131,7 +130,25 @@ def full_power_orbit(v, x):
             out.append(rank(Mat(f, power.transpose().rows + extra)) - len(extra))
         return _partition_from_ranks(out)
 
-    return bipartition_from_invariants(n, ranks(()), ranks(tuple(cyclic)))
+    return ranks(()), ranks(tuple(cyclic))
+
+
+@lru_cache(maxsize=None)
+def whole_power_labels(field, n):
+    """(lam, sigma) -> label over every label of size n, each read off its
+    normal form by :func:`whole_power_types`; no library inversion."""
+    labels = {}
+    for b in enumerate_bipartitions(n):
+        rep = build_representative(b, field)
+        key = whole_power_types(rep.v, rep.x)
+        assert key not in labels, (b, labels[key])
+        labels[key] = b
+    return labels
+
+
+def full_power_orbit(v, x):
+    """The orbit label of a nilpotent pair (v, x) by whole powers of x."""
+    return whole_power_labels(x.field, x.nrows)[whole_power_types(v, x)]
 
 
 def eigenbasis_class_label(e):

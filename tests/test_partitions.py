@@ -11,7 +11,6 @@ from nilcones.partitions import (
     ah_closure_leq,
     bipartition_from_invariants,
     check_partition,
-    cyclic_quotient_type,
     double,
     enumerate_bipartitions,
     format_bipartition,
@@ -220,19 +219,60 @@ def test_cyclic_quotient_type_against_matrix_oracle():
                 conj = inverse(p).mul(rep.x).mul(p)
                 quot = Mat(QQ, tuple(row[m:] for row in conj.rows[m:]))
                 sigma = jordan_type_nilpotent(quot)
-            assert cyclic_quotient_type(b) == sigma, b
+            assert bipartition_from_invariants(n, add(b.mu, b.nu), sigma) == b, b
 
 
-def test_invariant_table_is_injective_and_complete():
-    for n in range(15):
-        seen = {}
+def reference_quotient_type(b):
+    """Jordan type of x on k^n / k[x]v for the normal representative of b,
+    by inclusion-exclusion: x^m v has its chain-i component at depth
+    mu_i - m, which lies in the image of x^j exactly when
+    j <= m + min{nu_i : mu_i > m}."""
+    mu, nu = b.mu, b.nu
+    lam = add(mu, nu)
+    m1 = mu[0] if mu else 0
+
+    def g(m):
+        k = sum(1 for p in mu if p > m)
+        return nu[k - 1] if k - 1 < len(nu) else 0
+
+    def quotient_rank(j):
+        full = sum(max(p - j, 0) for p in lam)
+        in_w = sum(1 for m in range(m1) if m + g(m) >= j)
+        return full - in_w
+
+    col = []
+    j = 1
+    prev = quotient_rank(0)
+    assert prev == b.n - m1
+    while prev > 0:
+        cur = quotient_rank(j)
+        col.append(prev - cur)
+        prev = cur
+        j += 1
+    return transpose(tuple(col))
+
+
+def test_bipartition_from_invariants_matches_the_table():
+    # the table the recurrence replaced: every label of size n keyed by
+    # (lam, sigma), with sigma by inclusion-exclusion
+    for n in range(13):
+        table = {}
         for b in enumerate_bipartitions(n):
-            key = (add(b.mu, b.nu), cyclic_quotient_type(b))
-            assert key not in seen, (b, seen[key])
-            seen[key] = b
+            key = (add(b.mu, b.nu), reference_quotient_type(b))
+            assert key not in table, (b, table[key])
+            table[key] = b
+        for key, b in table.items():
             assert bipartition_from_invariants(n, *key) == b
-    with pytest.raises(BudgetExceeded):
-        bipartition_from_invariants(17, (17,), ())
+        if n > 9:
+            continue
+        for lam in partitions_of(n):
+            for sigma in (s for size in range(n + 2) for s in partitions_of(size)):
+                if (lam, sigma) not in table:
+                    with pytest.raises(ValueError):
+                        bipartition_from_invariants(n, lam, sigma)
+    # no size cap: identification once stopped at n = 16
+    assert bipartition_from_invariants(20, (20,), ()) == Bipartition((20,), ())
+    assert bipartition_from_invariants(20, (20,), (20,)) == Bipartition((), (20,))
 
 
 def test_text_grammar():
