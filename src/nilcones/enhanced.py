@@ -241,7 +241,17 @@ def closure_leq(b1, b2):
 
 
 def _subspaces_between(S, T, d, p):
-    """All echelon bases F with span(S) <= F <= span(T), dim F = d."""
+    """All echelon bases F with span(S) <= F <= span(T), dim F = d, for
+    reduced echelon rows S and T.
+
+    Every pivot of S is a pivot of T, and T's rows at the pivots S lacks
+    span a complement of S in T (a combination of them leads at one of
+    those pivots, so none lies in S).  Each F is S with the rows of one
+    (d - s)-dimensional pattern of :func:`echelon_patterns` in that
+    complement inserted.  Where a complement is taken (s < d < t), a row of
+    S must be T's row at its pivot or reduce to zero mod T, else
+    InvariantViolation.
+    """
     s, t = len(S), len(T)
     if not s <= d <= t:
         return
@@ -254,11 +264,11 @@ def _subspaces_between(S, T, d, p):
         # vector joins S only once it is found in T
         yield T
         return
-    # the residuals of T mod S span a complement of S in T
-    complement = [row for _, row in _echelon((_residual(row, S, p) for _, row in T), p)]
-    if len(complement) != t - s:
-        raise InvariantViolation(f"complement of dimension {len(complement)}, not {t - s}")
-    cols = tuple(zip(*complement))
+    rest = dict(T)
+    for piv, row in S:
+        if row != rest.pop(piv, None) and any(_residual(row, T, p)):
+            raise InvariantViolation(f"S has a row outside T, for s = {s}, t = {t}")
+    cols = tuple(zip(*rest.values()))
     for pattern in echelon_patterns(t - s, d - s, p):
         lifted = ([sum(map(mul, prow, col)) % p for col in cols] for prow in pattern)
         yield _echelon(lifted, p, S)
@@ -299,9 +309,10 @@ def _flag_witness_exists(xrows, ventries, comp, k, p):
 
 
 def _oracle_prelude(b_small, b_big, p, budget_n):
-    if b_small.n != b_big.n:
+    n = b_small.n
+    if n != b_big.n:
         raise SizeMismatch("labels have different sizes")
-    if b_small.n > budget_n or p not in ORACLE_PRIMES:
+    if n > budget_n or p not in ORACLE_PRIMES:
         raise BudgetExceeded(f"oracle capped at n <= {budget_n}, p in {ORACLE_PRIMES}")
     return _normal_form(b_small)
 

@@ -13,10 +13,11 @@ Q and F_p alike, and so does the eigenvalues' integer Horner root search
 One elimination serves each field: over Q fraction-free (Bareiss)
 elimination with exact back substitution, behind rank, rref, nullspace and
 the inverse (which runs it on F_p residues too); over F_p an incremental
-reduced echelon form on residues, behind rank, rref, nullspace and the flag
-oracle of :mod:`nilcones.enhanced`, whose preimage step {y : x y in F} is
-one elimination of the columns x e_j mod F (:func:`_preimage`).  ``det`` is
-the field-generic reference.
+reduced echelon form on residues, behind rank, rref, nullspace, F_p
+identification and the flag oracle of :mod:`nilcones.enhanced`, whose
+preimage step {y : x y in F} is one elimination of the augmented rows
+[x e_j mod F | e_j] (:func:`_preimage`).  ``det`` is the field-generic
+reference.
 Pairs and classes are identified on one image chain per eigenvalue a
 (:func:`_image_chain`): bases of im y, im y^2, ... for an int multiple y of
 x - a, each the last one with y applied to its rows, until the image stops
@@ -314,22 +315,27 @@ def _echelon_insert(rows, vec, p):
     rows is a tuple of (pivot, row) pairs sorted by pivot; each row is an
     int tuple in [0, p) with 1 at its pivot and 0 at the other pivots.
     This form is unique to the span, so it can key a memo.  vec holds ints
-    in [0, p); rows itself comes back when vec lies in its span.
+    in [0, p); rows itself comes back when vec lies in its span.  Else its
+    residual, scaled to lead 1, reduces each row once in one pass that puts
+    it before the first later pivot.
     """
     v = _residual(vec, rows, p)
     piv = next((j for j, a in enumerate(v) if a), None)
     if piv is None:
         return rows
-    inv = pow(v[piv], p - 2, p)
-    v = tuple(a * inv % p for a in v)
-    out = []
+    if v[piv] != 1:
+        inv = pow(v[piv], p - 2, p)
+        v = [a * inv % p for a in v]
+    v = tuple(v)
+    out, new = [], (piv, v)
     for pv, row in rows:
+        if new and pv > piv:
+            out.append(new)
+            new = None
         c = row[piv]
-        if c:
-            row = tuple((a - c * b) % p for a, b in zip(row, v))
-        out.append((pv, row))
-    out.append((piv, v))
-    out.sort()
+        out.append((pv, tuple([(a - c * b) % p for a, b in zip(row, v)])) if c else (pv, row))
+    if new:
+        out.append(new)
     return tuple(out)
 
 
@@ -346,29 +352,30 @@ def _preimage(x_cols, F, p):
     of y -> x y mod F, for the columns x_cols of x and reduced echelon rows F.
 
     One elimination: the columns x e_j mod F go in from last to first, each
-    with its combination of the e_j.  A column that reduces to zero leaves a
-    kernel vector: 1 at j, and otherwise nonzero only at later columns that
-    did not reduce to zero.  So the kernel vectors are zero at each other's
-    lowest index j, and they are the reduced echelon rows of the kernel.
+    as the augmented row [x e_j mod F | e_j].  A column that reduces to zero
+    leaves a kernel vector: 1 at j, and otherwise nonzero only at later
+    columns that did not reduce to zero.  So the kernel vectors are zero at
+    each other's lowest index j, and they are the reduced echelon rows of
+    the kernel.
     """
     n = len(x_cols)
-    image = []  # (pivot, row with 1 at the pivot, its combination of the e_j)
+    image = []  # (pivot, augmented row with 1 at the pivot)
     kernel = []
     for j in range(n - 1, -1, -1):
-        r = _residual(x_cols[j], F, p)
-        c = [0] * n
-        c[j] = 1
-        for piv, row, comb in image:
+        r = _residual(x_cols[j], F, p) + [0] * n
+        r[n + j] = 1
+        for piv, row in image:
             a = r[piv]
             if a:
                 r = [(u - a * w) % p for u, w in zip(r, row)]
-                c = [(u - a * w) % p for u, w in zip(c, comb)]
-        lead = next(filter(None, r), 0)
+        lead = next(filter(None, r[:n]), 0)
         if not lead:
-            kernel.append((j, tuple(c)))
-        else:
+            kernel.append((j, tuple(r[n:])))
+            continue
+        if lead != 1:
             inv = pow(lead, p - 2, p)
-            image.append((r.index(lead), [a * inv % p for a in r], [a * inv % p for a in c]))
+            r = [a * inv % p for a in r]
+        image.append((r.index(1), r))
     return tuple(reversed(kernel))
 
 
@@ -956,6 +963,18 @@ def limit_along_cocharacter(weights, v, x):
 # ---------------------------------------------------------------------------
 
 
+def _shears(n, rng):
+    """The draws behind a random g in GL_n(Q): shears (i, j, c), each the row
+    operation rows[j] += c rows[i], applied to I in turn, and the row that g
+    then negates, or None."""
+    shears = []
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            shears.append((i, j, rng.choice([-2, -1, 1, 2])))
+    return shears, rng.randrange(n) if rng.random() < 0.5 and n else None
+
+
 def random_gl(n, rng):
     """A random element g of GL_n(Q) with exact inverse: a product of integer
     shears and diagonal sign flips, so the determinant is +-1.  It carries
@@ -963,15 +982,11 @@ def random_gl(n, rng):
     by t[i] -= c t[j], and the sign flip of row k negates t[k]."""
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     t = [row[:] for row in rows]
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice([-2, -1, 1, 2])
+    shears, k = _shears(n, rng)
+    for i, j, c in shears:
         rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
         t[i] = [a - c * b for a, b in zip(t[i], t[j])]
-    if rng.random() < 0.5 and n:
-        k = rng.randrange(n)
+    if k is not None:
         rows[k] = [-e for e in rows[k]]
         t[k] = [-e for e in t[k]]
     return _with_inverse(Mat._of(QQ, rows), Mat._of(QQ, zip(*t)))
@@ -979,28 +994,32 @@ def random_gl(n, rng):
 
 def random_sp(n, rng, steps=3):
     """A random element s of Sp_2n(Q): a product of diag(g, tg^{-1}) blocks
-    and unipotent upper/lower blocks with symmetric off-diagonal part.  It
-    carries s^-1 = -Omega ts Omega, which for s = [[P, Q], [R, S]] is
-    [[tS, -tQ], [-tR, tP]]."""
-    one = [[int(i == j) for j in range(n)] for i in range(n)]
-    zero = [[0] * n] * n
-    total = None
+    and unipotent upper/lower blocks with symmetric off-diagonal part, each
+    applied to the columns of s: diag(g, tg^{-1}) as g's sign flip and then
+    its shears in reverse (:func:`_shears`), a unipotent block as n column
+    updates.  It carries s^-1 = -Omega ts Omega, which for
+    s = [[P, Q], [R, S]] is [[tS, -tQ], [-tR, tP]]."""
+    cols = [[int(i == j) for i in range(2 * n)] for j in range(2 * n)]
     for _ in range(steps):
         kind = rng.randrange(3)
         if kind == 0:
-            g = random_gl(n, rng)
-            p, q, r, s = g.num, zero, zero, g._inverse.transpose().num
+            shears, k = _shears(n, rng)
+            if k is not None:
+                cols[k], cols[n + k] = [-e for e in cols[k]], [-e for e in cols[n + k]]
+            for i, j, c in reversed(shears):
+                cols[i] = [a + c * b for a, b in zip(cols[i], cols[j])]
+                cols[n + j] = [a - c * b for a, b in zip(cols[n + j], cols[n + i])]
         else:
             b = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
                     b[i][j] = b[j][i] = rng.randint(-2, 2)
-            p, q, r, s = (one, b, zero, one) if kind == 1 else (one, zero, b, one)
-        elem = Mat._of(QQ, [[*p[i], *q[i]] for i in range(n)] + [[*r[i], *s[i]] for i in range(n)])
-        total = elem if total is None else total.mul(elem)
-    if total is None:
-        return Mat.identity(QQ, 2 * n)
-    cols = tuple(zip(*total.num))  # the rows of ts
+            src, dst = (0, n) if kind == 1 else (n, 0)
+            block = list(zip(*cols[src:src + n]))
+            for j in range(n):
+                cols[dst + j] = [a + sum(map(operator.mul, b[j], r))
+                                 for a, r in zip(cols[dst + j], block)]
     inv = [(*cols[n + i][n:], *(-e for e in cols[n + i][:n])) for i in range(n)]
     inv += [(*(-e for e in cols[i][n:]), *cols[i][:n]) for i in range(n)]
-    return _with_inverse(total, _store(object.__new__(Mat), QQ, tuple(inv), total.den))
+    s = _store(object.__new__(Mat), QQ, tuple(zip(*cols)), 1)
+    return _with_inverse(s, _store(object.__new__(Mat), QQ, tuple(inv), 1))

@@ -28,7 +28,7 @@ def positive_parts(parts):
         parts = tuple(map(index, parts))
     except TypeError:
         raise ValueError(f"parts must be integers: {parts}") from None
-    if any(p <= 0 for p in parts):
+    if parts and min(parts) <= 0:
         raise ValueError(f"parts must be positive: {parts}")
     return parts
 

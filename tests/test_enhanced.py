@@ -1,15 +1,23 @@
 import gc
 import random
+from itertools import product
 
 import pytest
 
-from nilcones.errors import BudgetExceeded, NotNilpotent, NotRigidDatum, SizeMismatch
+from nilcones.errors import (
+    BudgetExceeded,
+    InvariantViolation,
+    NotNilpotent,
+    NotRigidDatum,
+    SizeMismatch,
+)
 from nilcones.fields import GF, QQ
-from nilcones.linalg import Mat, Vec, stabilizer_dim_gl
+from nilcones.linalg import Mat, Vec, _echelon, echelon_patterns, stabilizer_dim_gl
 from nilcones.partitions import Bipartition, Composition, enumerate_bipartitions
 from nilcones.enhanced import (
     EnhancedElement,
     _orbit_walk,
+    _subspaces_between,
     _rigid_blocks,
     InductionDatum,
     act,
@@ -249,6 +257,92 @@ def test_closure_rule_against_flag_oracle_n5():
                 rule = closure_leq(b1, b2)
                 assert closure_oracle_flag(b1, b2, p) == rule, (b1, b2, p)
                 assert closure_oracle_flag(b1, b2, p, alt_order=True) == rule, (b1, b2, p)
+
+
+def span_points(rows, n, p):
+    """Every point of the span of the int rows over F_p."""
+    return frozenset(tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % p for i in range(n))
+                     for coeffs in product(range(p), repeat=len(rows)))
+
+
+def is_reduced(F, n, p):
+    """True iff F is a tuple of (pivot, row) pairs in reduced echelon form:
+    pivots rising, each row an int tuple in [0, p) of length n that is 0
+    before its pivot, 1 at it and 0 at the other pivots."""
+    pivots = [piv for piv, _ in F]
+    return pivots == sorted(set(pivots)) and all(
+        type(row) is tuple and len(row) == n and all(0 <= a < p for a in row)
+        and not any(row[:piv]) and row[piv] == 1
+        and not any(row[q] for q in pivots if q != piv)
+        for piv, row in F)
+
+
+def random_subspace(rng, n, p, dim, within=None):
+    """Reduced echelon rows of a random subspace of dimension dim, inside
+    the span of the rows ``within`` when given."""
+    rows = ()
+    while len(rows) < dim:
+        if within is None:
+            vec = [rng.randrange(p) for _ in range(n)]
+        else:
+            coeffs = [rng.randrange(p) for _ in within]
+            vec = [sum(c * row[i] for c, (_, row) in zip(coeffs, within)) % p for i in range(n)]
+        rows = _echelon([vec], p, rows)
+    return rows
+
+
+def test_subspaces_between_matches_brute_force():
+    # every nested S <= T for p in {2, 3} and n <= 4, S = 0, S = T and
+    # T = F_p^n among them, against the reduced echelon patterns between
+    rng = random.Random(24)
+    spans = {}
+    cases = 0
+    for p in (2, 3):
+        for n in range(1, 5):
+            for t in range(n + 1):
+                for s in range(t + 1):
+                    for _ in range(3):
+                        T = random_subspace(rng, n, p, t)
+                        S = random_subspace(rng, n, p, s, within=T)
+                        in_S = span_points([r for _, r in S], n, p)
+                        in_T = span_points([r for _, r in T], n, p)
+                        for d in range(s, t + 1):
+                            if (n, d, p) not in spans:
+                                spans[n, d, p] = {P: span_points(P, n, p)
+                                                  for P in echelon_patterns(n, d, p)}
+                            got = list(_subspaces_between(S, T, d, p))
+                            assert all(is_reduced(F, n, p) for F in got)
+                            bases = [tuple(row for _, row in F) for F in got]
+                            assert len(set(bases)) == len(bases)
+                            assert set(bases) == {P for P, pts in spans[n, d, p].items()
+                                                  if in_S <= pts <= in_T}, (p, S, T, d)
+                            cases += 1
+                        assert not list(_subspaces_between(S, T, t + 1, p))
+    assert cases == 414
+
+
+def test_subspaces_between_refuses_S_outside_T():
+    # S not inside T raises wherever a complement is taken, s < d < t,
+    # also when every pivot of S is a pivot of T; at d = s and d = t the
+    # answer is S or T and no complement is needed
+    rng = random.Random(25)
+    same_pivots = other_pivots = 0
+    for p in (2, 3):
+        for n, t, s in ((4, 3, 1), (5, 3, 1), (5, 4, 1), (5, 4, 2)):
+            for _ in range(60):
+                T = random_subspace(rng, n, p, t)
+                S = random_subspace(rng, n, p, s)
+                in_T = span_points([r for _, r in T], n, p)
+                if all(r in in_T for _, r in S):
+                    continue
+                if {piv for piv, _ in S} <= {piv for piv, _ in T}:
+                    same_pivots += 1
+                else:
+                    other_pivots += 1
+                for d in range(s + 1, t):
+                    with pytest.raises(InvariantViolation):
+                        list(_subspaces_between(S, T, d, p))
+    assert (same_pivots, other_pivots) == (283, 50)
 
 
 def test_flag_oracle_matches_baseline(baseline):

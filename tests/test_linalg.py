@@ -18,6 +18,7 @@ from nilcones.linalg import (
     Vec,
     _cyclic_basis,
     _echelon,
+    _echelon_insert,
     _free_column_basis,
     _partition_from_ranks,
     _preimage,
@@ -410,6 +411,60 @@ def test_preimage_matches_two_step_route_and_brute_force():
                     assert span_points([row for _, row in T], n, p) == expected
                     brute += 1
     assert (cases, brute) == (1080, 960)
+
+
+def sorted_echelon_insert(rows, vec, p):
+    """_echelon_insert as it was before it placed the new row in its one
+    pass: every row rebuilt by a generator, the new row always scaled, and
+    the result sorted."""
+    v = _residual(vec, rows, p)
+    piv = next((j for j, a in enumerate(v) if a), None)
+    if piv is None:
+        return rows
+    inv = pow(v[piv], p - 2, p)
+    v = tuple(a * inv % p for a in v)
+    out = []
+    for pv, row in rows:
+        c = row[piv]
+        if c:
+            row = tuple((a - c * b) % p for a, b in zip(row, v))
+        out.append((pv, row))
+    out.append((piv, v))
+    out.sort()
+    return tuple(out)
+
+
+def test_echelon_insert_matches_the_sorting_version():
+    # seeded insert sequences up to full rank: zero vectors, vectors in the
+    # span (rows itself comes back), leads of 1 and leads other than 1
+    rng = random.Random(24)
+    counts = dict.fromkeys(("zero", "in_span", "lead_one", "lead_other", "full"), 0)
+    for p in (2, 3, 5, 7):
+        for n in range(1, 8):
+            for _ in range(40):
+                rows = ()
+                while len(rows) < n:
+                    kind = rng.randrange(4)
+                    if kind == 0:
+                        vec = [0] * n
+                    elif kind == 1:
+                        coeffs = [rng.randrange(p) for _ in rows]
+                        vec = [sum(c * row[i] for c, (_, row) in zip(coeffs, rows)) % p
+                               for i in range(n)]
+                    else:
+                        vec = [rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)]
+                    new = _echelon_insert(rows, vec, p)
+                    assert new == sorted_echelon_insert(rows, vec, p), (p, rows, vec)
+                    assert all(type(row) is tuple for _, row in new)
+                    if len(new) == len(rows):
+                        assert new is rows
+                        counts["zero" if not any(vec) else "in_span"] += 1
+                    else:
+                        lead = next(filter(None, _residual(vec, rows, p)))
+                        counts["lead_one" if lead == 1 else "lead_other"] += 1
+                    rows = new
+                counts["full"] += 1
+    assert min(counts.values()) > 200, counts
 
 
 def test_charpoly_examples():
@@ -1011,6 +1066,68 @@ def test_carried_inverse_is_not_part_of_the_value():
         assert m._inverse is not None
         assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
         assert {fresh: s}[m] == s
+
+
+def product_form_random_gl(n, rng):
+    """random_gl as it was before its draws had their own function."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    t = [row[:] for row in rows]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+        t[i] = [a - c * b for a, b in zip(t[i], t[j])]
+    if rng.random() < 0.5 and n:
+        k = rng.randrange(n)
+        rows[k] = [-e for e in rows[k]]
+        t[k] = [-e for e in t[k]]
+    return Mat._of(QQ, rows), Mat._of(QQ, zip(*t))
+
+
+def product_form_random_sp(n, rng, steps=3):
+    """random_sp as it was before it applied its factors to the columns: the
+    product of the 2n x 2n factors, and the inverse read off its transpose."""
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    zero = [[0] * n] * n
+    total = None
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        if kind == 0:
+            g, g_inv = product_form_random_gl(n, rng)
+            p, q, r, s = g.num, zero, zero, g_inv.transpose().num
+        else:
+            b = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    b[i][j] = b[j][i] = rng.randint(-2, 2)
+            p, q, r, s = (one, b, zero, one) if kind == 1 else (one, zero, b, one)
+        elem = Mat._of(QQ, [[*p[i], *q[i]] for i in range(n)] + [[*r[i], *s[i]] for i in range(n)])
+        total = elem if total is None else total.mul(elem)
+    if total is None:
+        return Mat.identity(QQ, 2 * n), Mat.identity(QQ, 2 * n)
+    cols = tuple(zip(*total.num))  # the rows of ts
+    inv = [(*cols[n + i][n:], *(-e for e in cols[n + i][:n])) for i in range(n)]
+    inv += [(*(-e for e in cols[i][n:]), *cols[i][:n]) for i in range(n)]
+    return total, Mat._of(QQ, inv, total.den)
+
+
+def test_column_updates_match_the_product_form():
+    # the same draws in the same order, so the same s and s^-1 and the same
+    # generator state after each call
+    for n in range(7):
+        for seed in range(300):
+            ours, ref = random.Random(seed), random.Random(seed)
+            g, (h, h_inv) = random_gl(n, ours), product_form_random_gl(n, ref)
+            assert (g.num, g.den, inverse(g).num, inverse(g).den) == (
+                h.num, h.den, h_inv.num, h_inv.den)
+            assert ours.getstate() == ref.getstate()
+            for steps in range(4):
+                s, (t, t_inv) = random_sp(n, ours, steps), product_form_random_sp(n, ref, steps)
+                assert (s.num, s.den, inverse(s).num, inverse(s).den) == (
+                    t.num, t.den, t_inv.num, t_inv.den), (n, seed, steps)
+                assert ours.getstate() == ref.getstate()
 
 
 @st.composite
