@@ -16,7 +16,7 @@ from itertools import accumulate
 from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, InvariantViolation, NotRigidDatum, SizeMismatch
-from .fields import QQ
+from .fields import QQ, _is_prime
 from .linalg import (
     Mat,
     Vec,
@@ -39,8 +39,8 @@ from .partitions import (
 )
 
 FLAG_ORACLE_BUDGET_N = 7
-SWEEP_ORACLE_BUDGET_N = 3
 ORACLE_PRIMES = (2, 3)
+WALK_BUDGET_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -298,25 +298,6 @@ def _flag_search(i, F, x_cols, ventries, dims, k, p, failed):
     return False
 
 
-def _flag_witness_exists(xrows, ventries, comp, k, p):
-    """Search for a partial flag with jumps comp such that x drops each step
-    down one and the vector lies in step k."""
-    if k == 0 and any(ventries):
-        return False
-    dims = list(accumulate(comp))
-    x_cols = list(zip(*xrows))
-    return _flag_search(0, (), x_cols, ventries, dims, k, p, set())
-
-
-def _oracle_prelude(b_small, b_big, p, budget_n):
-    n = b_small.n
-    if n != b_big.n:
-        raise SizeMismatch("labels have different sizes")
-    if n > budget_n or p not in ORACLE_PRIMES:
-        raise BudgetExceeded(f"oracle capped at n <= {budget_n}, p in {ORACLE_PRIMES}")
-    return _normal_form(b_small)
-
-
 def closure_oracle_flag(b_small, b_big, p, alt_order=False):
     """Exhaustive flag-search membership test for
     orbit(b_small) <= closure(orbit(b_big)) over F_p.
@@ -328,18 +309,32 @@ def closure_oracle_flag(b_small, b_big, p, alt_order=False):
     unmarked groups (descending instead of ascending), which must not
     change the answer.
     """
-    xrows, ventries = _oracle_prelude(b_small, b_big, p, FLAG_ORACLE_BUDGET_N)
+    n = b_small.n
+    if n != b_big.n:
+        raise SizeMismatch("labels have different sizes")
+    if n > FLAG_ORACLE_BUDGET_N or p not in ORACLE_PRIMES:
+        raise BudgetExceeded(f"oracle capped at n <= {FLAG_ORACLE_BUDGET_N}, p in {ORACLE_PRIMES}")
+    xrows, ventries = _normal_form(b_small)
     comp, k = _rigid_blocks(b_big)
     if alt_order:
         comp = comp[:k][::-1] + comp[k:][::-1]
-    return _flag_witness_exists(xrows, ventries, comp, k, p)
+    if k == 0 and any(ventries):
+        return False
+    return _flag_search(0, (), list(zip(*xrows)), ventries, list(accumulate(comp)), k, p, set())
 
 
 def _conjugations(n, p):
-    """The actions v -> gv and x -> g x g^-1, on the tuple v and the flat
-    tuple of the rows of x, as one pair of maps per generator g of
-    GL_n(F_p) that applies at this n and p."""
-    maps = []
+    """(v_maps, x_maps): the actions v -> gv and x -> g x g^-1, on the
+    tuple v and the flat tuple of the rows of x, one entry of each list per
+    generator g of GL_n(F_p) at this n and p (ValueError unless p is
+    prime): I + e_12, the n-cycle permutation matrix and, for p > 2,
+    diag(z, 1, ..., 1) with z a primitive root.  Conjugates of I + e_12 by
+    powers of the cycle, and their commutators, are all the elementary
+    transvections, which generate SL_n(F_p) (Taylor, The Geometry of the
+    Classical Groups, 1992); det diag(z, 1, ..., 1) = z generates F_p^*."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    v_maps, x_maps = [], []
     if n >= 2:
         def transvection_v(v):
             # g = I + e_12: v_1 gains v_2
@@ -356,8 +351,8 @@ def _conjugations(n, p):
 
         # the n-cycle g e_j = e_{j+1}: (gv)_i = v_{i-1}, (g x g^-1)_ij = x_{i-1,j-1}
         shift = [(i - 1) % n for i in range(n)]
-        maps += [(transvection_v, transvection_x),
-                 (itemgetter(*shift), itemgetter(*(n * i + j for i in shift for j in shift)))]
+        v_maps += [transvection_v, itemgetter(*shift)]
+        x_maps += [transvection_x, itemgetter(*(n * i + j for i in shift for j in shift))]
     if n >= 1 and p > 2:
         z = next(z for z in range(2, p) if len({pow(z, k, p) for k in range(p - 1)}) == p - 1)
         z_inv = pow(z, -1, p)
@@ -375,8 +370,15 @@ def _conjugations(n, p):
                 q[k] = q[k] * z_inv % p
             return tuple(q)
 
-        maps.append((dilation_v, dilation_x))
-    return maps
+        v_maps.append(dilation_v)
+        x_maps.append(dilation_x)
+    return v_maps, x_maps
+
+
+def _walk_budget(points):
+    """BudgetExceeded past WALK_BUDGET_POINTS codes (one byte each) of a walk."""
+    if points > WALK_BUDGET_POINTS:
+        raise BudgetExceeded(f"orbit walk capped at {WALK_BUDGET_POINTS} points, not {points}")
 
 
 def _orbit_table(starts, maps):
@@ -395,15 +397,6 @@ def _orbit_table(starts, maps):
                 points.append(q)
             row.append(index[q])
     return points, successors
-
-
-def _orbit_tables(xrows, ventries, p):
-    """(vs, v_next, xs, x_next): the :func:`_orbit_table` of v and of the
-    flat tuple of the rows of x under the maps of :func:`_conjugations`."""
-    maps = _conjugations(len(ventries), p)
-    vs, v_next = _orbit_table([tuple(ventries)], [g for g, _ in maps])
-    xs, x_next = _orbit_table([tuple(e for row in xrows for e in row)], [h for _, h in maps])
-    return vs, v_next, xs, x_next
 
 
 def _orbit_pairs(v_next, x_next, size, start, seen):
@@ -431,40 +424,43 @@ def _orbit_pairs(v_next, x_next, size, start, seen):
                 yield vj, xj
 
 
-def _orbit_walk(xrows, ventries, p):
-    """Breadth-first walk of the GL_n(F_p)-orbit of (v, x) under the maps of
-    :func:`_conjugations`: yields each orbit point once, as the flat tuple
-    v + rows of x, starting with (v, x) itself, in the order of
-    :func:`_orbit_pairs`."""
-    vs, v_next, xs, x_next = _orbit_tables(xrows, ventries, p)
+def _orbit_walk(v_maps, x_maps, v, x):
+    """Breadth-first walk of the orbit of (v, x) (v the vector's entries, x
+    the rows of the matrix) under maps as :func:`_conjugations` gives them:
+    yields each orbit point once, as the flat tuple v + rows of x, starting
+    with (v, x) itself, in the order of :func:`_orbit_pairs`."""
+    vs, v_next = _orbit_table([tuple(v)], v_maps)
+    xs, x_next = _orbit_table([tuple(e for row in x for e in row)], x_maps)
     for vi, xi in _orbit_pairs(v_next, x_next, len(xs), 0, bytearray(len(vs) * len(xs))):
         yield vs[vi] + xs[xi]
 
 
 def closure_oracle_sweep(b_small, b_big, p):
     """Second, independent membership oracle: walk the GL_n(F_p)-orbit of
-    b_small's representative and test each point (v, x) directly against
-    the marked coordinate subspace and the strict block-upper pattern of
-    the rigid datum of b_big.
+    b_small's representative (generators of :func:`_conjugations`) and
+    test each point (v, x) directly against the marked coordinate subspace
+    and the strict block-upper pattern of the rigid datum of b_big.
 
-    The walk is breadth first over the transvection I + e_12, the n-cycle
-    permutation matrix and, for p > 2, diag(z, 1, ..., 1) with z a
-    primitive root.  Conjugates of the transvection by powers of the cycle,
-    and their commutators, are all the elementary transvections, which
-    generate SL_n(F_p) (Taylor, The Geometry of the Classical Groups,
-    1992); det diag(z, 1, ..., 1) = z generates F_p^*.  The test splits
-    as the action does: whether v vanishes outside the marked blocks is
-    read once per point of the v-orbit, whether x vanishes on and below
-    the diagonal blocks once per point of the x-orbit, and the walk of
-    :func:`_orbit_pairs` looks for a pair that passes both.
+    The walk marks at most p^n * p^(n^2 - n) codes, a v-orbit times a
+    nilpotent x-orbit (Fine-Herstein), so it runs where p^(n^2) <=
+    WALK_BUDGET_POINTS.  The test splits as the action does: whether v
+    vanishes outside the marked blocks is read once per point of the
+    v-orbit, whether x vanishes on and below the diagonal blocks once per
+    point of the x-orbit, and the walk of :func:`_orbit_pairs` looks for a
+    pair that passes both.
     """
-    xrows, ventries = _oracle_prelude(b_small, b_big, p, SWEEP_ORACLE_BUDGET_N)
-    comp, k = _rigid_blocks(b_big)
     n = b_small.n
+    if n != b_big.n:
+        raise SizeMismatch("labels have different sizes")
+    _walk_budget(p ** (n * n))
+    v_maps, x_maps = _conjugations(n, p)
+    xrows, ventries = _normal_form(b_small)
+    comp, k = _rigid_blocks(b_big)
     marked = sum(comp[:k])
     block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
     x_vanish = [n * r + c for r in range(n) for c in range(n) if block_of[r] >= block_of[c]]
-    vs, v_next, xs, x_next = _orbit_tables(xrows, ventries, p)
+    vs, v_next = _orbit_table([tuple(ventries)], v_maps)
+    xs, x_next = _orbit_table([tuple(e for row in xrows for e in row)], x_maps)
     v_ok = [not any(v[marked:]) for v in vs]
     x_ok = [not any(map(x.__getitem__, x_vanish)) for x in xs]
     if not any(v_ok) or not any(x_ok):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .enhanced import EnhancedElement, _conjugations, _orbit_pairs, _orbit_table
+from .enhanced import EnhancedElement, _conjugations, _orbit_pairs, _orbit_table, _walk_budget
 from .errors import BudgetExceeded, CharTwo, NonSplitSpectrum, NotPerfectSquare, SizeMismatch
 from .fields import GF
 from .jordan_classes import (
@@ -227,14 +227,14 @@ def fiber_census(n, p):
     that counts its orbit, whose first point alone is bucketed and
     identified (85 orbits for the 15,625 points at n = 2, p = 5).  Returns
     (fibers, nonsplit_count): fibers maps each invariant vector to a dict
-    counting class labels.  Capped at n <= 2, p in {2, 3, 5}.
+    counting class labels.  It walks all p^(n + n^2) points, at most
+    ``enhanced.WALK_BUDGET_POINTS`` (the largest p at n = 1 to 4: 1021, 7, 3, 2).
     """
-    if n > 2 or p not in (2, 3, 5):
-        raise BudgetExceeded("fiber census capped at n <= 2, p in {2, 3, 5}")
+    _walk_budget(p ** (n + n * n))
     field = GF(p)
-    maps = _conjugations(n, p)
-    vs, v_next = _orbit_table(product(range(p), repeat=n), [g for g, _ in maps])
-    xs, x_next = _orbit_table(product(range(p), repeat=n * n), [h for _, h in maps])
+    v_maps, x_maps = _conjugations(n, p)
+    vs, v_next = _orbit_table(product(range(p), repeat=n), v_maps)
+    xs, x_next = _orbit_table(product(range(p), repeat=n * n), x_maps)
     seen = bytearray(len(vs) * len(xs))
     fibers = {}
     nonsplit = 0

@@ -33,7 +33,7 @@ from .linalg import (
 )
 from .partitions import Composition, ah_closure_leq, double, enumerate_bipartitions
 from .enhanced import (
-    SWEEP_ORACLE_BUDGET_N,
+    WALK_BUDGET_POINTS,
     EnhancedElement,
     InductionDatum,
     act,
@@ -48,6 +48,7 @@ from .enhanced import (
     jkv_decompose,
     orbit_dim,
     rigid_datum,
+    _conjugations,
     _normal_form,
     _orbit_walk,
 )
@@ -168,8 +169,8 @@ def suite_doubling(n):
 
 def suite_closure(n, p):
     """Combinatorial closure order against the flag oracle (all ordered
-    pairs), the alternative block ordering and the orbit-walk oracle, and
-    the point count of the orbits the walk finds."""
+    pairs) and the alternative block ordering, and, where p^(n^2) <=
+    WALK_BUDGET_POINTS, the orbit-walk oracle and the walk's point count."""
     checker = _Checker()
     labels = enumerate_bipartitions(n)
     pairs = list(product(labels, repeat=2))
@@ -178,12 +179,13 @@ def suite_closure(n, p):
     checker.each("flag oracle independent of block ordering", pairs,
                  lambda pair: (closure_oracle_flag(*pair, p, alt_order=True)
                                == ah_closure_leq(*pair)))
-    if n <= SWEEP_ORACLE_BUDGET_N:
+    if p ** (n * n) <= WALK_BUDGET_POINTS:
         checker.each(f"group sweep agrees at n={n}, p={p}", pairs,
                      lambda pair: closure_oracle_sweep(*pair, p) == ah_closure_leq(*pair))
         # the orbits partition the p^n * p^(n^2 - n) points of the nilcone
         # (Fine-Herstein count of nilpotent matrices)
-        orbits = [set(_orbit_walk(*_normal_form(b), p)) for b in labels]
+        maps = _conjugations(n, p)
+        orbits = [set(_orbit_walk(*maps, v, x)) for x, v in map(_normal_form, labels)]
         points = sum(map(len, orbits))
         distinct = len(set().union(*orbits))
         checker.add(f"orbits partition the {p ** (n * n)} nilcone points at n={n}, p={p}",

@@ -16,6 +16,7 @@ from nilcones.linalg import Mat, Vec, _echelon, echelon_patterns, stabilizer_dim
 from nilcones.partitions import Bipartition, Composition, enumerate_bipartitions
 from nilcones.enhanced import (
     EnhancedElement,
+    _conjugations,
     _orbit_walk,
     _subspaces_between,
     _rigid_blocks,
@@ -235,8 +236,15 @@ def test_closure_examples():
         closure_oracle_flag(B((8,), ()), B((8,), ()), 2)
     with pytest.raises(BudgetExceeded):
         closure_oracle_flag(B((1,), ()), B((1,), ()), 5)
+    # the sweep's walk marks up to p^(n^2) codes: 2^16 at (4, 2) is within
+    # the point budget, 3^16 at (4, 3) and 2^25 at (5, 2) are not
     with pytest.raises(BudgetExceeded):
-        closure_oracle_sweep(B((4,), ()), B((4,), ()), 2)
+        closure_oracle_sweep(B((4,), ()), B((4,), ()), 3)
+    with pytest.raises(BudgetExceeded):
+        closure_oracle_sweep(B((5,), ()), B((5,), ()), 2)
+    # the walk's dilation needs a primitive root mod p, so p must be prime
+    with pytest.raises(ValueError):
+        closure_oracle_sweep(B((1,), ()), B((1,), ()), 6)
 
 
 def test_closure_rule_against_flag_oracle_small():
@@ -388,17 +396,18 @@ def per_point_sweep(b_small, b_big, p):
                      if block_of[r] >= block_of[c])]
     rep = build_representative(b_small, field=GF(p))
     return any(not any(map(pt.__getitem__, must_vanish))
-               for pt in _orbit_walk(rep.x.rows, rep.v.entries, p))
+               for pt in _orbit_walk(*_conjugations(n, p), rep.v.entries, rep.x.rows))
 
 
 def test_sweep_matches_per_point_reference():
-    for n in (1, 2, 3):
+    # (2, 5) and (2, 7) run the dilation, where z and z^-1 differ; the
+    # reference shares the walk, so the rule checks the walk's generators
+    for n, p in [*product((1, 2, 3), (2, 3)), (2, 5), (2, 7)]:
         labels = enumerate_bipartitions(n)
-        for p in (2, 3):
-            for b1 in labels:
-                for b2 in labels:
-                    assert closure_oracle_sweep(b1, b2, p) == per_point_sweep(b1, b2, p), \
-                        (b1, b2, p)
+        for b1 in labels:
+            for b2 in labels:
+                assert (closure_oracle_sweep(b1, b2, p) == per_point_sweep(b1, b2, p)
+                        == closure_leq(b1, b2)), (b1, b2, p)
 
 
 def test_closure_oracles_agree_n2():
@@ -418,14 +427,14 @@ def test_orbit_walk_partitions_nilcone_points():
     # matrices (Fine-Herstein), so p^(n^2) points.  A missing generator or a
     # representative wrong over F_p breaks the count or the disjointness.
     expected = {(0, 2): 1, (1, 2): 2, (2, 2): 16, (3, 2): 512,
-                (0, 3): 1, (1, 3): 3, (2, 3): 81, (3, 3): 19683}
+                (0, 3): 1, (1, 3): 3, (2, 3): 81, (3, 3): 19683, (2, 5): 625}
     for (n, p), total in expected.items():
         assert total == p ** (n * n)
         seen = set()
         points = 0
         for b in enumerate_bipartitions(n):
             rep = build_representative(b, field=GF(p))
-            orbit = set(_orbit_walk(rep.x.rows, rep.v.entries, p))
+            orbit = set(_orbit_walk(*_conjugations(n, p), rep.v.entries, rep.x.rows))
             assert seen.isdisjoint(orbit), (n, p, b)
             seen |= orbit
             points += len(orbit)

@@ -350,18 +350,23 @@ def test_fiber_census():
     assert len(fibers2) == 2 ** 2
     assert nonsplit2 == (2 ** 2 - 2) ** 2 // 2 * 2 ** 2 == 8
     assert sum(sum(d.values()) for d in fibers2.values()) + nonsplit2 == 2 ** 6
+    # the census walk marks all p^(n + n^2) points: 3^20 at (4, 3), 11^6
+    # at (2, 11) and 1031^2 at (1, 1031) are past the 2^20 point budget
     with pytest.raises(BudgetExceeded):
-        fiber_census(3, 3)
+        fiber_census(4, 3)
     with pytest.raises(BudgetExceeded):
-        fiber_census(2, 7)
+        fiber_census(2, 11)
+    with pytest.raises(BudgetExceeded):
+        fiber_census(1, 1031)
 
 
 def test_fiber_census_matches_per_point_reference():
     # the census identifies one point per GL_n(F_p)-orbit; the reference
     # identifies the class of every split point on its own.  At (1, 2) no
-    # generator applies, so every point is its own orbit; (2, 5) is the
-    # one size where the walk runs at p = 5, where z and z^-1 differ
-    for n, p in ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5)):
+    # generator applies, so every point is its own orbit; at (2, 5) the
+    # walk runs the dilation, where z and z^-1 differ; (3, 2) is the first
+    # n = 3 census
+    for n, p in ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2)):
         field = GF(p)
         fibers = {}
         nonsplit = 0
