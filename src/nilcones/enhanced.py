@@ -5,7 +5,8 @@ This module provides the dimension formula, normal-form representatives,
 identification of the orbit of a concrete pair, induction of orbits from
 Levi data (block compositions with one bipartition per block), rigidity,
 and the closure order together with two independent finite-field oracles
-that certify the combinatorial order at small rank.
+that certify the combinatorial order.  One point budget,
+WALK_BUDGET_POINTS, bounds both oracles by sizes computed from (n, p).
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .partitions import (
     transpose,
 )
 
-FLAG_ORACLE_BUDGET_N = 7
-ORACLE_PRIMES = (2, 3)
 WALK_BUDGET_POINTS = 2 ** 20
 
 
@@ -308,12 +307,24 @@ def closure_oracle_flag(b_small, b_big, p, alt_order=False):
     the marked step.  ``alt_order`` reorders blocks within the marked and
     unmarked groups (descending instead of ascending), which must not
     change the answer.
+
+    p must be prime (ValueError otherwise): the search eliminates mod p.
+    Its memo ``failed`` holds states (i, F), F a subspace of F_p^n whose
+    dimension d is one of the len(dims) flag dimensions.  There are
+    [n, d]_p <= p^(d(n - d)) * prod_{j >= 1} 1 / (1 - p^-j) < 3.47 *
+    p^(d(n - d)) subspaces of dimension d, and d(n - d) is at most
+    floor(n^2 / 4), so the memo has fewer than 3.47 * len(dims) *
+    p^floor(n^2 / 4) entries.  The search runs where p^floor(n^2 / 4) <=
+    WALK_BUDGET_POINTS: every (n, p) the sweep admits, and also (9, 2),
+    (7, 3), (5, 7), (3, 1021), (2, p) for p <= 2^20 and (1, p) for every
+    prime p.
     """
     n = b_small.n
     if n != b_big.n:
         raise SizeMismatch("labels have different sizes")
-    if n > FLAG_ORACLE_BUDGET_N or p not in ORACLE_PRIMES:
-        raise BudgetExceeded(f"oracle capped at n <= {FLAG_ORACLE_BUDGET_N}, p in {ORACLE_PRIMES}")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    _walk_budget(p ** (n * n // 4))
     xrows, ventries = _normal_form(b_small)
     comp, k = _rigid_blocks(b_big)
     if alt_order:
@@ -376,9 +387,11 @@ def _conjugations(n, p):
 
 
 def _walk_budget(points):
-    """BudgetExceeded past WALK_BUDGET_POINTS codes (one byte each) of a walk."""
+    """BudgetExceeded past WALK_BUDGET_POINTS points of an F_p oracle: the
+    codes (one byte each) of a walk, or the p^floor(n^2 / 4) bound on the
+    subspaces of one dimension that the flag search may memoise."""
     if points > WALK_BUDGET_POINTS:
-        raise BudgetExceeded(f"orbit walk capped at {WALK_BUDGET_POINTS} points, not {points}")
+        raise BudgetExceeded(f"F_p oracle capped at {WALK_BUDGET_POINTS} points, not {points}")
 
 
 def _orbit_table(starts, maps):

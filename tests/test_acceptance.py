@@ -174,15 +174,15 @@ def test_criterion_04_doubling_and_quadrupling(capsys):
 def test_criterion_05_closure_oracle_gate(capsys):
     # the closure suite per (n, p): the flag oracle in both block orders on
     # every ordered pair, and where the walk budget admits the p^(n^2)
-    # nilcone points (all but (4, 3)) the group sweep and the count of the
-    # nilcone points its orbit walks reach: at (4, 2) 400 pairs and 2^16
-    # points
+    # nilcone points (all but (4, 3), (3, 5) and (4, 5)) the group sweep and
+    # the count of the nilcone points its orbit walks reach: at (4, 2) 400
+    # pairs and 2^16 points
     start = time.monotonic()
     flag_pairs = sweep_pairs = 0
     failed = []
     for n in range(1, 5):
         pairs = len(enumerate_bipartitions(n)) ** 2
-        for p in (2, 3):
+        for p in (2, 3, 5):
             checks = run_suite("closure", n, p)["checks"]
             expected = {f"flag oracle agrees at n={n}, p={p}": pairs,
                         "flag oracle independent of block ordering": pairs}
@@ -197,9 +197,9 @@ def test_criterion_05_closure_oracle_gate(capsys):
     elapsed = time.monotonic() - start
     ok = not failed and elapsed < 600
     with capsys.disabled():
-        report(5, ok, f"{flag_pairs} flag-oracle pairs in both block orders (n<=4, p in 2,3), "
+        report(5, ok, f"{flag_pairs} flag-oracle pairs in both block orders (n<=4, p in 2,3,5), "
                       f"{sweep_pairs} sweep pairs and the nilcone point counts "
-                      f"(p^(n^2) <= 2^20, so all but n=4, p=3); "
+                      f"(p^(n^2) <= 2^20, so all but n=4, p=3 and n>=3, p=5); "
                       f"failed checks: {len(failed)}; {elapsed:.1f}s")
     assert not failed, failed
     assert elapsed < 600
@@ -253,23 +253,29 @@ def test_criterion_08_class_and_sheet_counts(capsys):
 def test_criterion_09_quotient_compatibility(capsys):
     # the quotient suite at (4, 3): 200 seeded elements of each size m <= 4,
     # 20 GL and 20 Sp conjugations each, the 37 orbit representatives among
-    # the vanishing cases, and the fiber census at n = 2 over F_3
+    # the vanishing cases, and the fiber census over F_3 at each m whose
+    # 3^(m + m^2) points fit the point budget: m = 1, 2 and 3
     checks = run_suite("quotient", 4, 3)["checks"]
-    compat, vanish, conj, census = checks
+    compat, vanish, conj, *censuses = checks
     labels = sum(len(enumerate_bipartitions(n)) for n in range(1, 5))
     assert {c["name"]: c["count"] for c in checks} == {
         "exotic invariants of the embedding match": 800,
         "invariants vanish exactly on nilpotent pairs": 800 + labels,
         "invariants constant under 20 conjugations per element": 800 * 40,
+        "fiber census at n=1 over F_3: 3 fibers, 0 non-split points": 3 ** 2,
         "fiber census at n=2 over F_3: 9 fibers, 162 non-split points": 3 ** 6,
+        "fiber census at n=3 over F_3: 27 fibers, 263898 non-split points": 3 ** 12,
     }
     failed = [c for c in checks if c["status"] != "pass"]
+    census_points = sum(c["count"] for c in censuses)
     with capsys.disabled():
         report(9, not failed, f"{vanish['count']} seeded elements and representatives: "
                               f"embedding-compatibility {compat['status']} on {compat['count']}, "
                               f"vanishing iff nilpotent {vanish['status']}, "
                               f"{conj['count']} conjugations {conj['status']}, "
-                              f"fiber census {census['status']} on {census['count']} points")
+                              f"fiber censuses at m<=3 "
+                              f"{', '.join(c['status'] for c in censuses)} "
+                              f"on {census_points} points")
     assert not failed, failed
 
 

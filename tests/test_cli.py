@@ -373,6 +373,11 @@ def test_cmd_verify(capsys):
     report = json.loads(capsys.readouterr().out)
     flag_check = report["checks"][0]
     assert flag_check["count"] == 25
+    # p = 5 is past no cap: the flag search and the sweep both run
+    assert main(["verify", "--suite", "closure", "--n", "2", "--p", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    counts = {c["name"]: c["count"] for c in report["checks"]}
+    assert counts["group sweep agrees at n=2, p=5"] == 25
 
 
 def test_cmd_verify_failure_exit(capsys, monkeypatch):

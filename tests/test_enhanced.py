@@ -232,10 +232,15 @@ def test_closure_examples():
         assert closure_oracle_flag(b, b, 3)
     with pytest.raises(SizeMismatch):
         closure_oracle_flag(B((1,), ()), B((2,), ()), 2)
+    # the flag search's memo is bounded by p^floor(n^2 / 4): 2^20 at (9, 2)
+    # and 3^12 at (7, 3) are within the point budget, 2^25 at (10, 2) and
+    # 5^9 at (6, 5) are not
+    assert closure_oracle_flag(B((9,), ()), B((9,), ()), 2)
+    assert closure_oracle_flag(B((7,), ()), B((7,), ()), 3)
     with pytest.raises(BudgetExceeded):
-        closure_oracle_flag(B((8,), ()), B((8,), ()), 2)
+        closure_oracle_flag(B((10,), ()), B((10,), ()), 2)
     with pytest.raises(BudgetExceeded):
-        closure_oracle_flag(B((1,), ()), B((1,), ()), 5)
+        closure_oracle_flag(B((6,), ()), B((6,), ()), 5)
     # the sweep's walk marks up to p^(n^2) codes: 2^16 at (4, 2) is within
     # the point budget, 3^16 at (4, 3) and 2^25 at (5, 2) are not
     with pytest.raises(BudgetExceeded):
@@ -247,13 +252,30 @@ def test_closure_examples():
         closure_oracle_sweep(B((1,), ()), B((1,), ()), 6)
 
 
+@pytest.mark.parametrize("p", [1, 4, 6, 9])
+@pytest.mark.parametrize("oracle", [closure_oracle_flag, closure_oracle_sweep])
+def test_closure_oracles_refuse_a_non_prime(oracle, p):
+    # the flag search inverts mod p by Fermat, and the sweep's dilation
+    # needs a primitive root mod p: both hold only for a prime
+    with pytest.raises(ValueError):
+        oracle(B((1,), (1,)), B((2,), ()), p)
+
+
 def test_closure_rule_against_flag_oracle_small():
     for n in (1, 2, 3):
         labels = enumerate_bipartitions(n)
-        for p in (2, 3):
+        for p in (2, 3, 5, 7):
             for b1 in labels:
                 for b2 in labels:
                     assert closure_oracle_flag(b1, b2, p) == closure_leq(b1, b2), (b1, b2, p)
+    # (4, 5) in both block orders: its memo bound 5^4 is far inside the
+    # point budget
+    labels = enumerate_bipartitions(4)
+    for b1 in labels:
+        for b2 in labels:
+            rule = closure_leq(b1, b2)
+            assert closure_oracle_flag(b1, b2, 5) == rule, (b1, b2)
+            assert closure_oracle_flag(b1, b2, 5, alt_order=True) == rule, (b1, b2)
 
 
 def test_closure_rule_against_flag_oracle_n5():

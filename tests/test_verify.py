@@ -34,8 +34,9 @@ def test_all_suites_are_registered():
 
 @pytest.mark.parametrize("name,n", [
     ("doubling", 9), ("induction", 9), ("classes", 9), ("quotient", 9),
-    # the suite has no cap of its own: the flag oracle's stops it
-    ("closure", 8),
+    # the suite has no cap of its own: the flag oracle's point budget
+    # stops it past n = 9, where 2^floor(n^2 / 4) = 2^20 fills it
+    ("closure", 10),
 ])
 def test_suite_budgets(name, n):
     with pytest.raises(BudgetExceeded):
@@ -146,3 +147,15 @@ def test_quotient_suite_runs_the_fiber_census_or_reports_it_skipped():
     assert census["name"] == "fiber census at n=1 over F_1031"
     assert census["status"] == "skipped" and census["count"] == 0
     assert not report["passed"]
+
+
+def test_quotient_suite_runs_the_census_at_every_size_the_budget_admits():
+    # the census walks p^(m + m^2) points at each m <= n: all three sizes
+    # fit the point budget at (3, 2)
+    censuses = [c for c in run_suite("quotient", 3, 2)["checks"]
+                if c["name"].startswith("fiber census")]
+    assert [(c["name"], c["status"], c["count"]) for c in censuses] == [
+        ("fiber census at n=1 over F_2: 2 fibers, 0 non-split points", "pass", 2 ** 2),
+        ("fiber census at n=2 over F_2: 4 fibers, 8 non-split points", "pass", 2 ** 6),
+        ("fiber census at n=3 over F_2: 8 fibers, 1280 non-split points", "pass", 2 ** 12),
+    ]
