@@ -21,9 +21,7 @@ from .fields import QQ, _is_prime
 from .linalg import (
     Mat,
     Vec,
-    _echelon,
     _echelon_insert,
-    _preimage,
     _residual,
     echelon_patterns,
     inverse,
@@ -77,22 +75,26 @@ def orbit_dim(b):
     return n * n - sum(c * c for c in lam_tr) + sum(b.mu)
 
 
-def _normal_form(b):
-    """(int rows of x, int entries of v) of the normal form of b: x is in
-    Jordan form with chain i of length mu_i + nu_i, and v is the sum of the
-    depth-mu_i basis vector of each of the first l(mu) chains.  The
-    entries are 0 and 1, so they hold over every field."""
-    n = b.n
-    rows = [[0] * n for _ in range(n)]
-    ventries = [0] * n
+def _chains(b):
+    """(chain starts, chain ends, int entries of v) of b's normal form: x
+    sends e_j to e_(j - 1) along chain i, of length mu_i + nu_i, and to 0 at
+    its start; v sums the depth-mu_i basis vectors of the first l(mu) chains."""
+    starts, ends, ventries = [], [], [0] * b.n
     off = 0
     for i, length in enumerate(add(b.mu, b.nu)):
-        for j in range(off + 1, off + length):
-            rows[j - 1][j] = 1
         if i < len(b.mu):
             ventries[off + b.mu[i] - 1] = 1
+        starts.append(off)
         off += length
-    return rows, ventries
+        ends.append(off - 1)
+    return starts, ends, ventries
+
+
+def _normal_form(b):
+    """(int rows of x, int entries of v) of the normal form of b
+    (:func:`_chains`): entries 0 and 1, which hold over every field."""
+    _, ends, ventries = _chains(b)
+    return [[int(j == i + 1 and i not in ends) for j in range(b.n)] for i in range(b.n)], ventries
 
 
 def build_representative(b, field=QQ):
@@ -245,11 +247,11 @@ def _subspaces_between(S, T, d, p):
 
     Every pivot of S is a pivot of T, and T's rows at the pivots S lacks
     span a complement of S in T (a combination of them leads at one of
-    those pivots, so none lies in S).  Each F is S with the rows of one
-    (d - s)-dimensional pattern of :func:`echelon_patterns` in that
-    complement inserted.  Where a complement is taken (s < d < t), a row of
-    S must be T's row at its pivot or reduce to zero mod T, else
-    InvariantViolation.
+    those pivots, so none lies in S).  Each F is S, reduced at the pivots of
+    one (d - s)-dimensional pattern of :func:`echelon_patterns` lifted into
+    that complement, plus the lifted rows, which are 0 at every other pivot.
+    Where a complement is taken (s < d < t), a row of S must be T's row at
+    its pivot or reduce to zero mod T, else InvariantViolation.
     """
     s, t = len(S), len(T)
     if not s <= d <= t:
@@ -267,13 +269,39 @@ def _subspaces_between(S, T, d, p):
     for piv, row in S:
         if row != rest.pop(piv, None) and any(_residual(row, T, p)):
             raise InvariantViolation(f"S has a row outside T, for s = {s}, t = {t}")
-    cols = tuple(zip(*rest.values()))
+    pivots, cols = list(rest), tuple(zip(*rest.values()))
     for pattern in echelon_patterns(t - s, d - s, p):
-        lifted = ([sum(map(mul, prow, col)) % p for col in cols] for prow in pattern)
-        yield _echelon(lifted, p, S)
+        lifted = [(pivots[prow.index(1)], tuple([sum(map(mul, prow, col)) % p for col in cols]))
+                  for prow in pattern]
+        yield tuple(sorted(lifted + [(piv, tuple(_residual(row, lifted, p))) for piv, row in S]))
 
 
-def _flag_search(i, F, x_cols, ventries, dims, k, p, failed):
+def _chain_preimage(F, starts, ends, p):
+    """The reduced echelon rows over F_p of {y : x y in span F}, for reduced
+    echelon rows F and x the normal form with unit rows ``starts`` at its
+    chain starts and chain ends ``ends`` (:func:`_chains`).
+
+    x maps onto the w that vanish at every chain end, so the preimage is
+    ker x (the start rows) plus F ∩ {w : w_e = 0 at every chain end e}, each
+    row moved one step along its chain, (0,) + w[:-1] with its pivot + 1.
+    For each e the last row nonzero at e clears e from the others and is
+    dropped: it is 0 before its pivot and at every other pivot, so the rows
+    stay reduced.  Moved, they are 0 at the chain starts, so they and the
+    start rows, in pivot order, are reduced too."""
+    rows = list(F)
+    for e in ends:
+        hits = [r for r, (_, row) in enumerate(rows) if row[e]]
+        if hits:
+            _, g = rows.pop(hits.pop())
+            inv = pow(g[e], p - 2, p)
+            for r in hits:
+                piv, row = rows[r]
+                c = row[e] * inv % p
+                rows[r] = (piv, tuple([(a - c * b) % p for a, b in zip(row, g)]))
+    return tuple(sorted(starts + [(piv + 1, (0,) + row[:-1]) for piv, row in rows]))
+
+
+def _flag_search(i, F, starts, ends, ventries, dims, k, p, failed):
     """True iff the flag whose step i - 1 is F (reduced echelon rows) extends
     to steps i, i + 1, ... of dimensions dims[i], ... with x mapping each
     step into the one before it and the vector in step k.  ``failed`` holds
@@ -283,7 +311,7 @@ def _flag_search(i, F, x_cols, ventries, dims, k, p, failed):
     state = (i, F)
     if state in failed:
         return False
-    T = _preimage(x_cols, F, p)
+    T = _chain_preimage(F, starts, ends, p)
     S = F
     if i + 1 == k:
         if any(_residual(ventries, T, p)):
@@ -291,7 +319,7 @@ def _flag_search(i, F, x_cols, ventries, dims, k, p, failed):
             return False
         S = _echelon_insert(F, ventries, p)
     for F_next in _subspaces_between(S, T, dims[i], p):
-        if _flag_search(i + 1, F_next, x_cols, ventries, dims, k, p, failed):
+        if _flag_search(i + 1, F_next, starts, ends, ventries, dims, k, p, failed):
             return True
     failed.add(state)
     return False
@@ -308,16 +336,17 @@ def closure_oracle_flag(b_small, b_big, p, alt_order=False):
     unmarked groups (descending instead of ascending), which must not
     change the answer.
 
-    p must be prime (ValueError otherwise): the search eliminates mod p.
-    Its memo ``failed`` holds states (i, F), F a subspace of F_p^n whose
-    dimension d is one of the len(dims) flag dimensions.  There are
-    [n, d]_p <= p^(d(n - d)) * prod_{j >= 1} 1 / (1 - p^-j) < 3.47 *
-    p^(d(n - d)) subspaces of dimension d, and d(n - d) is at most
-    floor(n^2 / 4), so the memo has fewer than 3.47 * len(dims) *
-    p^floor(n^2 / 4) entries.  The search runs where p^floor(n^2 / 4) <=
-    WALK_BUDGET_POINTS: every (n, p) the sweep admits, and also (9, 2),
-    (7, 3), (5, 7), (3, 1021), (2, p) for p <= 2^20 and (1, p) for every
-    prime p.
+    p must be prime (ValueError otherwise): the search works mod p, and
+    reads each step's preimage off the chains of b_small's normal form
+    (:func:`_chain_preimage`).  Its memo ``failed`` holds states (i, F), F
+    a subspace of F_p^n whose dimension d is one of the len(dims) flag
+    dimensions.  There are [n, d]_p <= p^(d(n - d)) * prod_{j >= 1}
+    1 / (1 - p^-j) < 3.47 * p^(d(n - d)) subspaces of dimension d, and
+    d(n - d) is at most floor(n^2 / 4), so the memo has fewer than 3.47 *
+    len(dims) * p^floor(n^2 / 4) entries.  The search runs where
+    p^floor(n^2 / 4) <= WALK_BUDGET_POINTS: every (n, p) the sweep admits,
+    and also (9, 2), (7, 3), (5, 7), (3, 1021), (2, p) for p <= 2^20 and
+    (1, p) for every prime p.
     """
     n = b_small.n
     if n != b_big.n:
@@ -325,13 +354,15 @@ def closure_oracle_flag(b_small, b_big, p, alt_order=False):
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     _walk_budget(p ** (n * n // 4))
-    xrows, ventries = _normal_form(b_small)
     comp, k = _rigid_blocks(b_big)
     if alt_order:
         comp = comp[:k][::-1] + comp[k:][::-1]
-    if k == 0 and any(ventries):
+    if k == 0 and b_small.mu:
         return False
-    return _flag_search(0, (), list(zip(*xrows)), ventries, list(accumulate(comp)), k, p, set())
+    starts, ends, ventries = _chains(b_small)
+    zero = (0,) * n
+    starts = [(j, zero[:j] + (1,) + zero[j + 1:]) for j in starts]
+    return _flag_search(0, (), starts, ends, ventries, list(accumulate(comp)), k, p, set())
 
 
 def _conjugations(n, p):

@@ -23,10 +23,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 def _is_prime(p):
     """Deterministic Miller-Rabin; ValueError where its bases do not decide."""
+    if p in _MR_BASES:  # every base is prime
+        return True
     if p >= 3317044064679887385961981:
         raise ValueError(f"primality of {p} is not decided by the bases up to 41")
     if p < 2 or any(p % b == 0 for b in _MR_BASES):
-        return p in _MR_BASES
+        return False
     d, s = p - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -14,10 +14,9 @@ One elimination serves each field: over Q fraction-free (Bareiss)
 elimination with exact back substitution, behind rank, rref, nullspace and
 the inverse (which runs it on F_p residues too); over F_p an incremental
 reduced echelon form on residues, behind rank, rref, nullspace, F_p
-identification and the flag oracle of :mod:`nilcones.enhanced`, whose
-preimage step {y : x y in F} is one elimination of the augmented rows
-[x e_j mod F | e_j] (:func:`_preimage`).  ``det`` is the field-generic
-reference.
+identification and the flag oracle of :mod:`nilcones.enhanced` (whose
+preimage step reads {y : x y in F} off the chains of the normal form x,
+with no elimination).  ``det`` is the field-generic reference.
 Pairs and classes are identified on one image chain per eigenvalue a
 (:func:`_image_chain`): bases of im y, im y^2, ... for an int multiple y of
 x - a, each the last one with y applied to its rows, until the image stops
@@ -345,38 +344,6 @@ def _echelon(vectors, p, rows=()):
     for vec in vectors:
         rows = _echelon_insert(rows, vec, p)
     return rows
-
-
-def _preimage(x_cols, F, p):
-    """The reduced echelon rows over F_p of {y : x y in span F}, the kernel
-    of y -> x y mod F, for the columns x_cols of x and reduced echelon rows F.
-
-    One elimination: the columns x e_j mod F go in from last to first, each
-    as the augmented row [x e_j mod F | e_j].  A column that reduces to zero
-    leaves a kernel vector: 1 at j, and otherwise nonzero only at later
-    columns that did not reduce to zero.  So the kernel vectors are zero at
-    each other's lowest index j, and they are the reduced echelon rows of
-    the kernel.
-    """
-    n = len(x_cols)
-    image = []  # (pivot, augmented row with 1 at the pivot)
-    kernel = []
-    for j in range(n - 1, -1, -1):
-        r = _residual(x_cols[j], F, p) + [0] * n
-        r[n + j] = 1
-        for piv, row in image:
-            a = r[piv]
-            if a:
-                r = [(u - a * w) % p for u, w in zip(r, row)]
-        lead = next(filter(None, r[:n]), 0)
-        if not lead:
-            kernel.append((j, tuple(r[n:])))
-            continue
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            r = [a * inv % p for a in r]
-        image.append((r.index(1), r))
-    return tuple(reversed(kernel))
 
 
 def _reduced(m):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from nilcones.errors import (
     NotNilpotent,
     WedgeViolation,
 )
+from nilcones.enhanced import _chain_preimage, _normal_form
 from nilcones.fields import GF, QQ, _is_prime
 from nilcones.linalg import (
     Mat,
@@ -21,7 +23,6 @@ from nilcones.linalg import (
     _echelon_insert,
     _free_column_basis,
     _partition_from_ranks,
-    _preimage,
     _rank_sequences,
     _residual,
     _sp_basis,
@@ -45,6 +46,7 @@ from nilcones.linalg import (
     stabilizer_dim_sp,
     stabilizer_system,
 )
+from nilcones.partitions import enumerate_bipartitions
 
 
 def omega(field, n):
@@ -390,27 +392,41 @@ def span_points(rows, n, p):
 
 
 def test_preimage_matches_two_step_route_and_brute_force():
+    # the flag search's preimage, read off the chains of every normal form
+    # with n <= 6: F drawn at random, F = 0, F = F_p^n, and F inside the
+    # subspace that vanishes at the chain ends
     rng = random.Random(16)
     cases = brute = 0
     for p in (2, 3, 5):
         for n in range(1, 7):
-            for trial in range(60):
-                zeros = 0.2 if trial % 2 else 0.75  # sparse and dense in turn
-                x_cols = [tuple(rng.randrange(p) if rng.random() >= zeros else 0
-                                for _ in range(n)) for _ in range(n)]
-                F = _echelon((tuple(rng.randrange(p) for _ in range(n))
-                              for _ in range(rng.randint(0, n))), p)
-                T = _preimage(x_cols, F, p)
-                assert T == preimage_two_step(x_cols, F, p), (p, x_cols, F)
-                cases += 1
-                if p ** n <= 729:
-                    in_F = span_points([row for _, row in F], n, p)
-                    expected = {y for y in product(range(p), repeat=n)
-                                if tuple(sum(a * col[i] for a, col in zip(y, x_cols)) % p
-                                         for i in range(n)) in in_F}
-                    assert span_points([row for _, row in T], n, p) == expected
-                    brute += 1
-    assert (cases, brute) == (1080, 960)
+            full = _echelon((tuple(int(i == j) for j in range(n)) for i in range(n)), p)
+            for b in enumerate_bipartitions(n):
+                xrows, _ = _normal_form(b)
+                x_cols = list(zip(*xrows))
+                starts = [full[j] for j in range(n) if not any(x_cols[j])]
+                ends = [i for i in range(n) if not any(xrows[i])]
+                inner = [j for j in range(n) if j not in ends]
+                draws = [(), full]
+                for _ in range(3):
+                    draws.append(_echelon((tuple(rng.randrange(p) for _ in range(n))
+                                           for _ in range(rng.randint(0, n))), p))
+                    draws.append(_echelon((tuple(rng.randrange(p) if j in inner else 0
+                                                 for j in range(n))
+                                           for _ in range(rng.randint(1, n))), p))
+                for F in draws:
+                    T = _chain_preimage(F, starts, ends, p)
+                    assert T == preimage_two_step(x_cols, F, p), (p, b, F)
+                    assert all(not any(row[:piv]) and row[piv] == 1
+                               and not any(row[q] for q, _ in T if q != piv)
+                               for piv, row in T), (p, b, F)
+                    cases += 1
+                    if p ** n <= 729:
+                        in_F = span_points([row for _, row in F], n, p)
+                        expected = {y for y in product(range(p), repeat=n)
+                                    if tuple(sum(map(mul, row, y)) % p for row in xrows) in in_F}
+                        assert span_points([row for _, row in T], n, p) == expected
+                        brute += 1
+    assert (cases, brute) == (3312, 2504)
 
 
 def sorted_echelon_insert(rows, vec, p):
