@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from operator import itemgetter, mul
 
@@ -75,26 +76,33 @@ def orbit_dim(b):
     return n * n - sum(c * c for c in lam_tr) + sum(b.mu)
 
 
+@cache
 def _chains(b):
-    """(chain starts, chain ends, int entries of v) of b's normal form: x
-    sends e_j to e_(j - 1) along chain i, of length mu_i + nu_i, and to 0 at
-    its start; v sums the depth-mu_i basis vectors of the first l(mu) chains."""
-    starts, ends, ventries = [], [], [0] * b.n
+    """(start rows, chain ends, int entries of v) of b's normal form, as
+    tuples, kept once per process for each label b: x sends e_j to e_(j - 1)
+    along chain i, of length mu_i + nu_i, and to 0 at its start j, so the
+    start rows (j, e_j) span ker x; v sums the depth-mu_i basis vectors of
+    the first l(mu) chains."""
+    n = b.n
+    starts, ends, ventries = [], [], [0] * n
     off = 0
     for i, length in enumerate(add(b.mu, b.nu)):
         if i < len(b.mu):
             ventries[off + b.mu[i] - 1] = 1
-        starts.append(off)
+        starts.append((off, (0,) * off + (1,) + (0,) * (n - off - 1)))
         off += length
         ends.append(off - 1)
-    return starts, ends, ventries
+    return tuple(starts), tuple(ends), tuple(ventries)
 
 
+@cache
 def _normal_form(b):
     """(int rows of x, int entries of v) of the normal form of b
-    (:func:`_chains`): entries 0 and 1, which hold over every field."""
+    (:func:`_chains`), as tuples kept once per process for each label b:
+    entries 0 and 1, which hold over every field."""
     _, ends, ventries = _chains(b)
-    return [[int(j == i + 1 and i not in ends) for j in range(b.n)] for i in range(b.n)], ventries
+    return tuple(tuple(int(j == i + 1 and i not in ends) for j in range(b.n))
+                 for i in range(b.n)), ventries
 
 
 def build_representative(b, field=QQ):
@@ -179,9 +187,11 @@ def is_rigid(b):
     return (b.mu, b.nu) in (((), ones), (ones, ())) or b.n == 0
 
 
+@cache
 def _rigid_blocks(b):
     """(block sizes, k) of :func:`rigid_datum`: the columns of mu
-    ascending, then the columns of nu ascending, the first k marked."""
+    ascending, then the columns of nu ascending, the first k marked.  Kept
+    once per process for each label b."""
     mu_cols = sorted(transpose(b.mu))
     return (*mu_cols, *sorted(transpose(b.nu))), len(mu_cols)
 
@@ -298,7 +308,9 @@ def _chain_preimage(F, starts, ends, p):
                 piv, row = rows[r]
                 c = row[e] * inv % p
                 rows[r] = (piv, tuple([(a - c * b) % p for a, b in zip(row, g)]))
-    return tuple(sorted(starts + [(piv + 1, (0,) + row[:-1]) for piv, row in rows]))
+    rows = [(piv + 1, (0,) + row[:-1]) for piv, row in rows]
+    rows += starts
+    return tuple(sorted(rows))
 
 
 def _flag_search(i, F, starts, ends, ventries, dims, k, p, failed):
@@ -347,6 +359,11 @@ def closure_oracle_flag(b_small, b_big, p, alt_order=False):
     p^floor(n^2 / 4) <= WALK_BUDGET_POINTS: every (n, p) the sweep admits,
     and also (9, 2), (7, 3), (5, 7), (3, 1021), (2, p) for p <= 2^20 and
     (1, p) for every prime p.
+
+    What depends on one label is kept once per process: the chains of
+    b_small (:func:`_chains`, keyed on the label) and the rigid blocks of
+    b_big (:func:`_rigid_blocks`), one tuple each per label asked; the memo
+    ``failed`` lives for one query only.
     """
     n = b_small.n
     if n != b_big.n:
@@ -360,20 +377,21 @@ def closure_oracle_flag(b_small, b_big, p, alt_order=False):
     if k == 0 and b_small.mu:
         return False
     starts, ends, ventries = _chains(b_small)
-    zero = (0,) * n
-    starts = [(j, zero[:j] + (1,) + zero[j + 1:]) for j in starts]
     return _flag_search(0, (), starts, ends, ventries, list(accumulate(comp)), k, p, set())
 
 
+@cache
 def _conjugations(n, p):
     """(v_maps, x_maps): the actions v -> gv and x -> g x g^-1, on the
-    tuple v and the flat tuple of the rows of x, one entry of each list per
+    tuple v and the flat tuple of the rows of x, one entry of each tuple per
     generator g of GL_n(F_p) at this n and p (ValueError unless p is
     prime): I + e_12, the n-cycle permutation matrix and, for p > 2,
     diag(z, 1, ..., 1) with z a primitive root.  Conjugates of I + e_12 by
     powers of the cycle, and their commutators, are all the elementary
     transvections, which generate SL_n(F_p) (Taylor, The Geometry of the
-    Classical Groups, 1992); det diag(z, 1, ..., 1) = z generates F_p^*."""
+    Classical Groups, 1992); det diag(z, 1, ..., 1) = z generates F_p^*.
+    Kept once per process for each (n, p), so the maps are the same
+    objects on every call and can key the tables of :func:`_orbit_of`."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     v_maps, x_maps = [], []
@@ -414,7 +432,7 @@ def _conjugations(n, p):
 
         v_maps.append(dilation_v)
         x_maps.append(dilation_x)
-    return v_maps, x_maps
+    return tuple(v_maps), tuple(x_maps)
 
 
 def _walk_budget(points):
@@ -441,6 +459,26 @@ def _orbit_table(starts, maps):
                 points.append(q)
             row.append(index[q])
     return points, successors
+
+
+@cache
+def _orbit_of(start, maps):
+    """:func:`_orbit_table` of the one point ``start`` under ``maps``, as
+    tuples: (points, successors), kept once per process for each (start,
+    maps).  The maps of :func:`_conjugations` are the same objects for one
+    (n, p) and differ between its v side and its x side, so the key tells
+    the v point (1,) from the x point (1,) at n = 1.
+
+    The oracles start at normal forms only.  So at one (n, p) the x
+    tables, one for each lam = mu + nu (the x of the normal form depends
+    only on lam), split the p^(n^2 - n) nilpotent matrices among them
+    (Fine-Herstein), and each v table, one for each vector of a normal
+    form (at most 2^n), is the orbit of 0 or the p^n - 1 nonzero vectors.
+    The sweep runs where p^(n^2) <= WALK_BUDGET_POINTS: at (4, 2) the memo
+    keeps 5 x tables of 4,096 points and 12 v tables of 166, at (2, 31) 2
+    of 961 and 4 of 2,881, and at n = 1 one v table of p - 1 points."""
+    points, successors = _orbit_table([start], maps)
+    return tuple(points), tuple(map(tuple, successors))
 
 
 def _orbit_pairs(v_next, x_next, size, start, seen):
@@ -472,11 +510,27 @@ def _orbit_walk(v_maps, x_maps, v, x):
     """Breadth-first walk of the orbit of (v, x) (v the vector's entries, x
     the rows of the matrix) under maps as :func:`_conjugations` gives them:
     yields each orbit point once, as the flat tuple v + rows of x, starting
-    with (v, x) itself, in the order of :func:`_orbit_pairs`."""
-    vs, v_next = _orbit_table([tuple(v)], v_maps)
-    xs, x_next = _orbit_table([tuple(e for row in x for e in row)], x_maps)
+    with (v, x) itself, in the order of :func:`_orbit_pairs`.  It reads the
+    orbit tables of v and of x that :func:`_orbit_of` keeps, which the sweep
+    shares."""
+    vs, v_next = _orbit_of(tuple(v), v_maps)
+    xs, x_next = _orbit_of(tuple(e for row in x for e in row), x_maps)
     for vi, xi in _orbit_pairs(v_next, x_next, len(xs), 0, bytearray(len(vs) * len(xs))):
         yield vs[vi] + xs[xi]
+
+
+@cache
+def _rigid_pattern(b):
+    """(marked, x_vanish) of the rigid datum of b (:func:`_rigid_blocks`),
+    kept once per process for each label b: a point (v, x) passes when v
+    vanishes from index ``marked`` on, outside the marked blocks, and the
+    flat x vanishes at the indices ``x_vanish``, on and below the diagonal
+    blocks."""
+    comp, k = _rigid_blocks(b)
+    n = b.n
+    block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
+    return sum(comp[:k]), tuple(n * r + c for r in range(n) for c in range(n)
+                                if block_of[r] >= block_of[c])
 
 
 def closure_oracle_sweep(b_small, b_big, p):
@@ -492,6 +546,14 @@ def closure_oracle_sweep(b_small, b_big, p):
     v-orbit, whether x vanishes on and below the diagonal blocks once per
     point of the x-orbit, and the walk of :func:`_orbit_pairs` looks for a
     pair that passes both.
+
+    What depends on one label and p is kept once per process, so a query
+    builds only the two pass tests and its walk: the generators
+    (:func:`_conjugations`, keyed on (n, p)), the normal form of b_small
+    (:func:`_normal_form`) and the rigid pattern of b_big
+    (:func:`_rigid_pattern`), keyed on the label, and the orbit tables of
+    b_small's v and x (:func:`_orbit_of`, keyed on the start point and the
+    maps), which the memo bounds by the point budget.
     """
     n = b_small.n
     if n != b_big.n:
@@ -499,12 +561,9 @@ def closure_oracle_sweep(b_small, b_big, p):
     _walk_budget(p ** (n * n))
     v_maps, x_maps = _conjugations(n, p)
     xrows, ventries = _normal_form(b_small)
-    comp, k = _rigid_blocks(b_big)
-    marked = sum(comp[:k])
-    block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
-    x_vanish = [n * r + c for r in range(n) for c in range(n) if block_of[r] >= block_of[c]]
-    vs, v_next = _orbit_table([tuple(ventries)], v_maps)
-    xs, x_next = _orbit_table([tuple(e for row in xrows for e in row)], x_maps)
+    marked, x_vanish = _rigid_pattern(b_big)
+    vs, v_next = _orbit_of(ventries, v_maps)
+    xs, x_next = _orbit_of(sum(xrows, ()), x_maps)
     v_ok = [not any(v[marked:]) for v in vs]
     x_ok = [not any(map(x.__getitem__, x_vanish)) for x in xs]
     if not any(v_ok) or not any(x_ok):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, product
 from math import gcd, lcm
 
@@ -724,22 +725,38 @@ def stabilizer_dim_sp(v, x):
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _pattern_slots(n, d):
+    """(base, free slots) of every d x n reduced-row-echelon shape, on the
+    flat d * n entries of its rows: base has a 1 at each row's pivot and 0
+    elsewhere, and the free slots are the entries right of a row's pivot
+    and off every pivot column.  Kept once per process for each (n, d), as
+    tuples; there are C(n, d) shapes."""
+    shapes = []
+    for pivots in combinations(range(n), d):
+        base = [0] * (d * n)
+        for r, c in enumerate(pivots):
+            base[r * n + c] = 1
+        shapes.append((tuple(base), tuple(r * n + c for r in range(d) for c in range(n)
+                                          if c > pivots[r] and c not in pivots)))
+    return tuple(shapes)
+
+
 def echelon_patterns(n, d, p):
     """Every d x n reduced-row-echelon matrix over F_p, as a tuple of int
-    rows: one per d-dimensional subspace of F_p^n.  No budget check."""
+    rows: one per d-dimensional subspace of F_p^n, made one at a time from
+    the shapes of :func:`_pattern_slots` (an F_2-Grassmannian G(8, 4) alone
+    has 200,787 of them).  No budget check."""
     if d == 0:
         yield ()
         return
-    for pivots in combinations(range(n), d):
-        free_slots = [(r, c) for r in range(d) for c in range(n)
-                      if c > pivots[r] and c not in pivots]
+    cuts = [(r * n, r * n + n) for r in range(d)]
+    for base, free_slots in _pattern_slots(n, d):
         for values in product(range(p), repeat=len(free_slots)):
-            rows = [[0] * n for _ in range(d)]
-            for r in range(d):
-                rows[r][pivots[r]] = 1
-            for (r, c), val in zip(free_slots, values):
-                rows[r][c] = val
-            yield tuple(tuple(r) for r in rows)
+            flat = list(base)
+            for i, val in zip(free_slots, values):
+                flat[i] = val
+            yield tuple([tuple(flat[a:b]) for a, b in cuts])
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,27 @@ from nilcones.errors import (
     SizeMismatch,
 )
 from nilcones.fields import GF, QQ
-from nilcones.linalg import Mat, Vec, _echelon, echelon_patterns, stabilizer_dim_gl
-from nilcones.partitions import Bipartition, Composition, enumerate_bipartitions
+from nilcones.linalg import (
+    Mat,
+    Vec,
+    _echelon,
+    _pattern_slots,
+    echelon_patterns,
+    stabilizer_dim_gl,
+)
+from nilcones.partitions import Bipartition, Composition, ah_closure_leq, enumerate_bipartitions
+from nilcones.verify import run_suite
 from nilcones.enhanced import (
+    WALK_BUDGET_POINTS,
     EnhancedElement,
+    _chains,
     _conjugations,
+    _normal_form,
+    _orbit_of,
+    _orbit_pairs,
+    _orbit_table,
     _orbit_walk,
+    _rigid_pattern,
     _subspaces_between,
     _rigid_blocks,
     InductionDatum,
@@ -461,6 +476,101 @@ def test_orbit_walk_partitions_nilcone_points():
             seen |= orbit
             points += len(orbit)
         assert points == total, (n, p)
+
+
+# every memo the F_p oracles keep, each a functools.cache
+ORACLE_MEMOS = (_conjugations, _orbit_of, _chains, _normal_form, _rigid_blocks, _rigid_pattern,
+                _pattern_slots)
+
+
+def fresh_sweep(b_small, b_big, p):
+    """closure_oracle_sweep as it was before the oracles kept their data:
+    the generators, the normal form, the rigid pattern and both orbit
+    tables built anew on every call, none of them read from a memo."""
+    n = b_small.n
+    v_maps, x_maps = _conjugations.__wrapped__(n, p)
+    _, ends, ventries = _chains.__wrapped__(b_small)
+    xrows = [[int(j == i + 1 and i not in ends) for j in range(n)] for i in range(n)]
+    comp, k = _rigid_blocks.__wrapped__(b_big)
+    marked = sum(comp[:k])
+    block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
+    x_vanish = [n * r + c for r in range(n) for c in range(n) if block_of[r] >= block_of[c]]
+    vs, v_next = _orbit_table([tuple(ventries)], v_maps)
+    xs, x_next = _orbit_table([tuple(e for row in xrows for e in row)], x_maps)
+    v_ok = [not any(v[marked:]) for v in vs]
+    x_ok = [not any(map(x.__getitem__, x_vanish)) for x in xs]
+    if not any(v_ok) or not any(x_ok):
+        return False
+    seen = bytearray(len(vs) * len(xs))
+    return any(v_ok[vi] and x_ok[xi] for vi, xi in _orbit_pairs(v_next, x_next, len(xs), 0, seen))
+
+
+def is_frozen(value):
+    """True iff value is an int, a map (a generator's action) or a tuple of
+    such values, at every depth: nothing a caller could change."""
+    if isinstance(value, tuple):
+        return all(map(is_frozen, value))
+    return isinstance(value, int) or callable(value)
+
+
+def test_memoised_oracles_match_fresh_tables():
+    # from cold memos, in forward and then reverse pair order, so no answer
+    # depends on which label filled a memo first
+    for memo in ORACLE_MEMOS:
+        memo.cache_clear()
+    sizes = [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)] + [(4, 2)]
+    for n, p in sizes:
+        pairs = list(product(enumerate_bipartitions(n), repeat=2))
+        rule = [ah_closure_leq(*pair) for pair in pairs]
+        sweeps = p ** (n * n) <= WALK_BUDGET_POINTS
+        if sweeps:
+            assert [fresh_sweep(*pair, p) for pair in pairs] == rule, (n, p)
+        for order in (1, -1):
+            for pair, expect in list(zip(pairs, rule))[::order]:
+                if n < 4:
+                    assert closure_oracle_flag(*pair, p) == expect, (pair, p)
+                    assert closure_oracle_flag(*pair, p, alt_order=True) == expect, (pair, p)
+                if sweeps:
+                    assert closure_oracle_sweep(*pair, p) == expect, (pair, p)
+    first, second = run_suite("closure", 3, 3), run_suite("closure", 3, 3)
+    for report in (first, second):
+        for record in (report, *report["checks"]):
+            record.pop("elapsed_seconds")
+    assert first == second and first["passed"]
+
+
+def test_oracle_memos_are_bounded_and_immutable():
+    # at (4, 2) the x tables number one per lam |- 4 and split the 2^12
+    # nilpotent matrices among them; the v tables, one per vector of a
+    # normal form, are the orbit of 0 and 11 of the 15 nonzero vectors
+    for memo in ORACLE_MEMOS:
+        memo.cache_clear()
+    assert run_suite("closure", 4, 2)["passed"]
+    labels = enumerate_bipartitions(4)
+    v_maps, x_maps = _conjugations(4, 2)
+    x_starts = {sum(_normal_form(b)[0], ()) for b in labels}
+    v_starts = {_normal_form(b)[1] for b in labels}
+    assert (len(x_starts), len(v_starts)) == (5, 12)
+    info = _orbit_of.cache_info()
+    assert info.currsize == 17
+    x_tables = [_orbit_of(x, x_maps) for x in x_starts]
+    v_tables = [_orbit_of(v, v_maps) for v in v_starts]
+    assert _orbit_of.cache_info().misses == info.misses
+    x_points = [pt for points, _ in x_tables for pt in points]
+    assert len(x_points) == len(set(x_points)) == 2 ** 12
+    assert sorted(len(points) for points, _ in v_tables) == [1] + [15] * 11
+    # a flag search reads the chains without changing them
+    for p, alt in ((2, False), (3, True)):
+        for b1 in labels:
+            for b2 in labels:
+                closure_oracle_flag(b1, b2, p, alt)
+    for b in labels:
+        assert _chains(b) == _chains.__wrapped__(b), b
+    for value in (*x_tables, *v_tables, _conjugations(4, 2), _conjugations(4, 3),
+                  *map(_chains, labels), *map(_normal_form, labels),
+                  *map(_rigid_blocks, labels), *map(_rigid_pattern, labels),
+                  *(_pattern_slots(m, r) for m in range(5) for r in range(m + 1))):
+        assert type(value) is tuple and is_frozen(value), value
 
 
 def test_closure_implies_dimension_monotone():
