@@ -65,11 +65,18 @@ def act(g, e):
     return EnhancedElement(e.n, g.mul_vec(e.v), g.mul(e.x).mul(inverse(g)))
 
 
+@cache
 def orbit_dim(b):
     """Orbit dimension n^2 - sum_j ((mu+nu)^tr_j)^2 + |mu|.
 
     Matches n^2 minus the infinitesimal stabilizer dimension of any
     representative over Q; the agreement is part of the test surface.
+
+    Kept once per process for each label b, one int per distinct label
+    asked: classes of size n ask for their blocks, the bipartitions of
+    every m <= n (138 for n <= 6, 3,131 for n <=
+    ``jordan_classes.CLASS_BUDGET_N`` = 12), and a listing of the orbits
+    of size n for its own labels (24,842 at n = 20).
     """
     n = b.n
     lam_tr = transpose(add(b.mu, b.nu))
@@ -533,6 +540,20 @@ def _rigid_pattern(b):
                                 if block_of[r] >= block_of[c])
 
 
+@cache
+def _x_passes(start, maps, b):
+    """One byte per point of the x table that :func:`_orbit_of` keeps for
+    (start, maps), 1 where the flat x vanishes at the indices ``x_vanish``
+    of b's rigid pattern (:func:`_rigid_pattern`) and 0 elsewhere.  Kept
+    once per process for each (start, maps, b): at one (n, p) the x tables
+    split the p^(n^2 - n) nilpotent matrices, so the memo holds at most
+    that many bytes for each label b of size n, at (4, 2) 4,096 bytes for
+    each of the 20 labels."""
+    xs, _ = _orbit_of(start, maps)
+    _, x_vanish = _rigid_pattern(b)
+    return bytes([not any(map(x.__getitem__, x_vanish)) for x in xs])
+
+
 def closure_oracle_sweep(b_small, b_big, p):
     """Second, independent membership oracle: walk the GL_n(F_p)-orbit of
     b_small's representative (generators of :func:`_conjugations`) and
@@ -548,12 +569,13 @@ def closure_oracle_sweep(b_small, b_big, p):
     pair that passes both.
 
     What depends on one label and p is kept once per process, so a query
-    builds only the two pass tests and its walk: the generators
+    builds only the v pass test and its walk: the generators
     (:func:`_conjugations`, keyed on (n, p)), the normal form of b_small
     (:func:`_normal_form`) and the rigid pattern of b_big
-    (:func:`_rigid_pattern`), keyed on the label, and the orbit tables of
+    (:func:`_rigid_pattern`), keyed on the label, the orbit tables of
     b_small's v and x (:func:`_orbit_of`, keyed on the start point and the
-    maps), which the memo bounds by the point budget.
+    maps), which the memo bounds by the point budget, and the x pass test
+    of b_small's x table against b_big (:func:`_x_passes`).
     """
     n = b_small.n
     if n != b_big.n:
@@ -561,11 +583,12 @@ def closure_oracle_sweep(b_small, b_big, p):
     _walk_budget(p ** (n * n))
     v_maps, x_maps = _conjugations(n, p)
     xrows, ventries = _normal_form(b_small)
-    marked, x_vanish = _rigid_pattern(b_big)
+    marked, _ = _rigid_pattern(b_big)
+    x_start = sum(xrows, ())
     vs, v_next = _orbit_of(ventries, v_maps)
-    xs, x_next = _orbit_of(sum(xrows, ()), x_maps)
+    xs, x_next = _orbit_of(x_start, x_maps)
     v_ok = [not any(v[marked:]) for v in vs]
-    x_ok = [not any(map(x.__getitem__, x_vanish)) for x in xs]
+    x_ok = _x_passes(x_start, x_maps, b_big)
     if not any(v_ok) or not any(x_ok):
         return False
     seen = bytearray(len(vs) * len(xs))

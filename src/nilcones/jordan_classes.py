@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb
 from operator import add
 
@@ -106,11 +106,13 @@ def enumerate_classes(n):
     labels = {m: enumerate_bipartitions(m) for m in range(1, n + 1)}
     out = []
     for lam in sorted(partitions_of(n), key=lambda t: (len(t), t)):
-        # each run of equal parts takes its blocks in the fixed total order
-        runs = [combinations_with_replacement(labels[value], count)
-                for value, count in part_runs(lam)]
-        out.extend(ClassLabel._of(lam, tuple(chain.from_iterable(choice)))
-                   for choice in product(*runs))
+        # each run of equal parts takes its blocks in the fixed total order;
+        # the block tuples grow run by run, the earlier runs varying slowest
+        blocks = [()]
+        for value, count in part_runs(lam):
+            combos = list(combinations_with_replacement(labels[value], count))
+            blocks = [head + combo for head in blocks for combo in combos]
+        out.extend([ClassLabel._of(lam, b) for b in blocks])
     return out
 
 

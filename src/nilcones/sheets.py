@@ -20,6 +20,7 @@ from .errors import BudgetExceeded, CharTwo, NonSplitSpectrum, NotPerfectSquare,
 from .fields import GF
 from .jordan_classes import (
     ClassLabel,
+    _parts_merge,
     class_closure_leq,
     class_orbit_dim,
     enumerate_classes,
@@ -73,12 +74,15 @@ class SheetLabel:
 
 
 def sheet_class_label(s):
-    """The Jordan class dense in the sheet (rigid nilpotent data)."""
+    """The Jordan class dense in the sheet (rigid nilpotent data).  The
+    sheet label is canonical, VEC before ZERO inside each run of equal
+    parts, and :func:`nilcones.partitions.order_key` puts (1^m; ) before
+    (; 1^m), so its blocks are already in canonical order."""
     blocks = tuple(
-        Bipartition((1,) * m, ()) if c == VEC else Bipartition((), (1,) * m)
+        Bipartition._of((1,) * m, ()) if c == VEC else Bipartition._of((), (1,) * m)
         for m, c in zip(s.lam, s.choice)
     )
-    return ClassLabel(s.lam, blocks)
+    return ClassLabel._of(s.lam, blocks)
 
 
 def enumerate_sheets(n):
@@ -131,20 +135,44 @@ def sheet_nilpotent_orbit(s):
 
 def sheets_are_maximal_check(n):
     """True iff inside every rank stratum the classes maximal for the class
-    closure order are exactly the sheet labels' dense classes."""
+    closure order are exactly the sheet labels' dense classes (see
+    :func:`_maximal_classes`)."""
     if n > MAXIMALITY_BUDGET_N:
         raise BudgetExceeded(f"maximality check capped at n <= {MAXIMALITY_BUDGET_N}")
-    classes = enumerate_classes(n)
+    sheet_classes = {sheet_class_label(s) for s in enumerate_sheets(n)}
+    return _maximal_classes(enumerate_classes(n)) == sheet_classes
+
+
+def _maximal_classes(classes):
+    """The set of classes c with no other class c2 of the same rank stratum
+    (the same :func:`class_orbit_dim`) such that ``class_closure_leq(c,
+    c2)``.
+
+    Each stratum is grouped by lam, and :func:`_parts_merge` is asked once
+    per pair of partitions, so a class meets only the candidates whose
+    partition merges onto its own; ``class_closure_leq`` refuses the others
+    by that same test.  The candidates are tried with more parts first: in
+    one stratum the class dimension is the orbit dimension plus l(lam), so
+    these are the larger classes.  ``any`` runs over the same candidates in
+    every order, so the order changes which witness is found and not the
+    set returned.  In this order every pair that reaches the merge search
+    of :func:`merge_exists` is a witness that succeeds, one per class that
+    is not maximal (539 of the 604 classes at n = 6, 176 of 212 at n = 5):
+    for a maximal class the partition test and the nilcone test refuse
+    every candidate.
+    """
     strata = {}
     for c in classes:
-        strata.setdefault(class_orbit_dim(c), []).append(c)
+        strata.setdefault(class_orbit_dim(c), {}).setdefault(c.lam, []).append(c)
     maximal = set()
-    for group in strata.values():
-        for c in group:
-            if not any(c2 is not c and class_closure_leq(c, c2) for c2 in group):
-                maximal.add(c)
-    sheet_classes = {sheet_class_label(s) for s in enumerate_sheets(n)}
-    return maximal == sheet_classes
+    for by_lam in strata.values():
+        lams = sorted(by_lam, key=len, reverse=True)
+        for lam, group in by_lam.items():
+            candidates = [c2 for lam2 in lams if _parts_merge(lam, lam2) for c2 in by_lam[lam2]]
+            for c in group:
+                if not any(c2 is not c and class_closure_leq(c, c2) for c2 in candidates):
+                    maximal.add(c)
+    return maximal
 
 
 # ---------------------------------------------------------------------------

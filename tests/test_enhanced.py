@@ -35,6 +35,7 @@ from nilcones.enhanced import (
     _rigid_pattern,
     _subspaces_between,
     _rigid_blocks,
+    _x_passes,
     InductionDatum,
     act,
     build_representative,
@@ -480,7 +481,7 @@ def test_orbit_walk_partitions_nilcone_points():
 
 # every memo the F_p oracles keep, each a functools.cache
 ORACLE_MEMOS = (_conjugations, _orbit_of, _chains, _normal_form, _rigid_blocks, _rigid_pattern,
-                _pattern_slots)
+                _x_passes, _pattern_slots)
 
 
 def fresh_sweep(b_small, b_big, p):
@@ -566,6 +567,14 @@ def test_oracle_memos_are_bounded_and_immutable():
                 closure_oracle_flag(b1, b2, p, alt)
     for b in labels:
         assert _chains(b) == _chains.__wrapped__(b), b
+    # the x pass tests, one per x table and label of b_big, each a byte per
+    # point of its table: 2^12 bytes for each label
+    assert _x_passes.cache_info().currsize == 5 * len(labels) == 100
+    for b in labels:
+        passes = [_x_passes(x, x_maps, b) for x in x_starts]
+        assert all(type(ok) is bytes for ok in passes), b
+        assert sum(map(len, passes)) == 2 ** 12, b
+    assert _x_passes.cache_info().currsize == 100
     for value in (*x_tables, *v_tables, _conjugations(4, 2), _conjugations(4, 3),
                   *map(_chains, labels), *map(_normal_form, labels),
                   *map(_rigid_blocks, labels), *map(_rigid_pattern, labels),

@@ -2,7 +2,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, combinations_with_replacement, groupby, permutations, product
 
 import pytest
 
@@ -26,6 +26,7 @@ from nilcones.partitions import (
     ah_closure_leq,
     double,
     enumerate_bipartitions,
+    partitions_of,
     sum_bipartitions,
 )
 from nilcones.enhanced import EnhancedElement, act, build_representative, orbit_dim
@@ -439,3 +440,25 @@ def test_enumerate_classes_matches_baseline(baseline):
     for n in range(9):
         assert ([str(c) for c in enumerate_classes(n)]
                 == [str(c) for c in baseline.jordan_classes.enumerate_classes(n)])
+
+
+def product_classes(n):
+    """enumerate_classes as it was built before the block tuples grew run
+    by run: one product over the runs of equal parts, each choice chained
+    into the block tuple, and the blocks as (mu, nu) pairs."""
+    labels = {m: [(b.mu, b.nu) for b in enumerate_bipartitions(m)] for m in range(1, n + 1)}
+    out = []
+    for lam in sorted(partitions_of(n), key=lambda t: (len(t), t)):
+        runs = [combinations_with_replacement(labels[value], len(tuple(run)))
+                for value, run in groupby(lam)]
+        out.extend((lam, tuple(chain.from_iterable(choice))) for choice in product(*runs))
+    return out
+
+
+def test_enumerate_classes_matches_product_reference():
+    # at the benchmark's size n = 10 (29,615 labels) and one below
+    for n in (9, 10):
+        classes = enumerate_classes(n)
+        assert len(classes) == class_count_formula(n)
+        assert ([(c.lam, tuple((b.mu, b.nu) for b in c.blocks)) for c in classes]
+                == product_classes(n)), n

@@ -18,13 +18,14 @@ from nilcones.partitions import (
     enumerate_bipartitions,
     partitions_of,
 )
-from nilcones.enhanced import EnhancedElement, act, build_representative
+from nilcones.enhanced import EnhancedElement, act, build_representative, orbit_dim
 from nilcones.exotic import ExoticElement, embed_phi
 from nilcones.jordan_classes import (
     ClassLabel,
     _merge_search,
     _parts_merge,
     build_class_representative,
+    class_closure_leq,
     class_nilcone_orbit,
     class_orbit_dim,
     enumerate_classes,
@@ -35,6 +36,7 @@ from nilcones.sheets import (
     ZERO,
     InvariantVector,
     SheetLabel,
+    _maximal_classes,
     _square_root_ints,
     enhanced_invariants,
     enumerate_sheets,
@@ -173,6 +175,64 @@ def test_maximality_check_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def all_pairs_maximal(classes, rng=None):
+    """The maximal classes as the check found them before it grouped its
+    strata by partition: every other class of the stratum tried in turn,
+    in enumeration order or, given rng, in a shuffled order per class."""
+    strata = {}
+    for c in classes:
+        strata.setdefault(class_orbit_dim(c), []).append(c)
+    maximal = set()
+    for group in strata.values():
+        for c in group:
+            others = list(group)
+            if rng is not None:
+                rng.shuffle(others)
+            if not any(c2 is not c and class_closure_leq(c, c2) for c2 in others):
+                maximal.add(c)
+    return maximal
+
+
+def test_maximal_classes_match_all_pairs_loop():
+    # the candidate order (by partition, more parts first) picks which
+    # witness refutes a class, never whether one exists
+    rng = random.Random(29)
+    for n in range(1, 8):
+        classes = enumerate_classes(n)
+        maximal = _maximal_classes(classes)
+        assert maximal == all_pairs_maximal(classes), n
+        shuffled = list(classes)
+        rng.shuffle(shuffled)
+        assert _maximal_classes(shuffled) == maximal, n
+        assert all_pairs_maximal(classes, rng) == maximal, n
+        assert maximal == {sheet_class_label(s) for s in enumerate_sheets(n)}, n
+
+
+def test_class_layer_memos_are_bounded():
+    # the checks for n <= 6 ask orbit_dim for every bipartition of m <= 6,
+    # and the label prefix sums for at most sum_(m <= 6) (7 - m) times the
+    # bipartitions of m pairs (b, 2n)
+    orbit_dim.cache_clear()
+    _prefix_sums.cache_clear()
+    for n in range(1, 7):
+        assert sheets_are_maximal_check(n), n
+    assert orbit_dim.cache_info().currsize == sum(
+        len(enumerate_bipartitions(m)) for m in range(1, 7)) == 138
+    assert _prefix_sums.cache_info().currsize <= sum(
+        (7 - m) * len(enumerate_bipartitions(m)) for m in range(1, 7)) == 274
+
+
+def test_sheet_class_label_is_canonical():
+    # built without the constructor's canonicalisation, it equals the
+    # validated label with its blocks given in (VEC, ZERO) order
+    for n in range(1, 11):
+        for s in enumerate_sheets(n):
+            blocks = tuple(B((1,) * m, ()) if c == VEC else B((), (1,) * m)
+                           for m, c in zip(s.lam, s.choice))
+            label, checked = sheet_class_label(s), ClassLabel(s.lam, blocks)
+            assert label == checked and hash(label) == hash(checked), s
 
 
 def test_enhanced_invariants():
