@@ -85,11 +85,13 @@ def orbit_dim(b):
 
 @cache
 def _chains(b):
-    """(start rows, chain ends, int entries of v) of b's normal form, as
-    tuples, kept once per process for each label b: x sends e_j to e_(j - 1)
-    along chain i, of length mu_i + nu_i, and to 0 at its start j, so the
-    start rows (j, e_j) span ker x; v sums the depth-mu_i basis vectors of
-    the first l(mu) chains."""
+    """(start rows, chain ends, entries of v, entries of x row by row) of
+    b's normal form, as tuples kept once per process for each label b: x
+    sends e_j to e_(j - 1) along chain i, of length mu_i + nu_i, and to 0
+    at its start j, so the start rows (j, e_j) span ker x; v sums the
+    depth-mu_i basis vectors of the first l(mu) chains.  The entries of v
+    and x are 0 and 1, valid over every field, and x is flat, as
+    :func:`_orbit_of` keys it."""
     n = b.n
     starts, ends, ventries = [], [], [0] * n
     off = 0
@@ -99,24 +101,17 @@ def _chains(b):
         starts.append((off, (0,) * off + (1,) + (0,) * (n - off - 1)))
         off += length
         ends.append(off - 1)
-    return tuple(starts), tuple(ends), tuple(ventries)
-
-
-@cache
-def _normal_form(b):
-    """(int rows of x, int entries of v) of the normal form of b
-    (:func:`_chains`), as tuples kept once per process for each label b:
-    entries 0 and 1, which hold over every field."""
-    _, ends, ventries = _chains(b)
-    return tuple(tuple(int(j == i + 1 and i not in ends) for j in range(b.n))
-                 for i in range(b.n)), ventries
+    x = tuple(int(j == i + 1 and i not in ends) for i in range(n) for j in range(n))
+    return tuple(starts), tuple(ends), tuple(ventries), x
 
 
 def build_representative(b, field=QQ):
     """Normal-form representative of the orbit labelled b (see
-    :func:`_normal_form`)."""
-    rows, ventries = _normal_form(b)
-    return EnhancedElement(b.n, Vec._of(field, ventries), Mat._of(field, rows))
+    :func:`_chains`)."""
+    *_, ventries, x = _chains(b)
+    n = b.n
+    return EnhancedElement(n, Vec._of(field, ventries),
+                           Mat._of(field, [x[i * n:(i + 1) * n] for i in range(n)]))
 
 
 def identify_orbit(e):
@@ -196,17 +191,24 @@ def is_rigid(b):
 
 @cache
 def _rigid_blocks(b):
-    """(block sizes, k) of :func:`rigid_datum`: the columns of mu
-    ascending, then the columns of nu ascending, the first k marked.  Kept
-    once per process for each label b."""
+    """(block sizes, k, marked, x_vanish) of :func:`rigid_datum`, kept once
+    per process for each label b: the blocks are the columns of mu
+    ascending, then the columns of nu ascending, the first k marked.  A
+    point (v, x) lies in the sweep's pattern when v vanishes from index
+    ``marked`` on, outside the marked blocks, and the flat x vanishes at the
+    indices ``x_vanish``, on and below the diagonal blocks."""
     mu_cols = sorted(transpose(b.mu))
-    return (*mu_cols, *sorted(transpose(b.nu))), len(mu_cols)
+    comp = (*mu_cols, *sorted(transpose(b.nu)))
+    n = b.n
+    block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
+    return comp, len(mu_cols), sum(mu_cols), tuple(
+        n * r + c for r in range(n) for c in range(n) if block_of[r] >= block_of[c])
 
 
 def rigid_datum(b):
     """The unique (up to conjugacy) rigid datum inducing b: marked blocks
     are the columns of mu (ascending), unmarked blocks the columns of nu."""
-    comp, k = _rigid_blocks(b)
+    comp, k, *_ = _rigid_blocks(b)
     return InductionDatum.rigid(Composition(comp, k=k))
 
 
@@ -367,10 +369,9 @@ def closure_oracle_flag(b_small, b_big, p, alt_order=False):
     and also (9, 2), (7, 3), (5, 7), (3, 1021), (2, p) for p <= 2^20 and
     (1, p) for every prime p.
 
-    What depends on one label is kept once per process: the chains of
-    b_small (:func:`_chains`, keyed on the label) and the rigid blocks of
-    b_big (:func:`_rigid_blocks`), one tuple each per label asked; the memo
-    ``failed`` lives for one query only.
+    What depends on one label is kept once per process, one record per
+    label: the chains of b_small (:func:`_chains`) and the rigid blocks of
+    b_big (:func:`_rigid_blocks`); the memo ``failed`` lives for one query.
     """
     n = b_small.n
     if n != b_big.n:
@@ -378,12 +379,12 @@ def closure_oracle_flag(b_small, b_big, p, alt_order=False):
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     _walk_budget(p ** (n * n // 4))
-    comp, k = _rigid_blocks(b_big)
+    comp, k, *_ = _rigid_blocks(b_big)
     if alt_order:
         comp = comp[:k][::-1] + comp[k:][::-1]
     if k == 0 and b_small.mu:
         return False
-    starts, ends, ventries = _chains(b_small)
+    starts, ends, ventries, _ = _chains(b_small)
     return _flag_search(0, (), starts, ends, ventries, list(accumulate(comp)), k, p, set())
 
 
@@ -515,42 +516,28 @@ def _orbit_pairs(v_next, x_next, size, start, seen):
 
 def _orbit_walk(v_maps, x_maps, v, x):
     """Breadth-first walk of the orbit of (v, x) (v the vector's entries, x
-    the rows of the matrix) under maps as :func:`_conjugations` gives them:
-    yields each orbit point once, as the flat tuple v + rows of x, starting
-    with (v, x) itself, in the order of :func:`_orbit_pairs`.  It reads the
-    orbit tables of v and of x that :func:`_orbit_of` keeps, which the sweep
-    shares."""
+    the flat tuple of the matrix's rows, as :func:`_chains` keeps it) under
+    maps as :func:`_conjugations` gives them: yields each orbit point once,
+    as the flat tuple v + x, starting with (v, x) itself, in the order of
+    :func:`_orbit_pairs`.  It reads the orbit tables of v and of x that
+    :func:`_orbit_of` keeps, which the sweep shares."""
     vs, v_next = _orbit_of(tuple(v), v_maps)
-    xs, x_next = _orbit_of(tuple(e for row in x for e in row), x_maps)
+    xs, x_next = _orbit_of(tuple(x), x_maps)
     for vi, xi in _orbit_pairs(v_next, x_next, len(xs), 0, bytearray(len(vs) * len(xs))):
         yield vs[vi] + xs[xi]
-
-
-@cache
-def _rigid_pattern(b):
-    """(marked, x_vanish) of the rigid datum of b (:func:`_rigid_blocks`),
-    kept once per process for each label b: a point (v, x) passes when v
-    vanishes from index ``marked`` on, outside the marked blocks, and the
-    flat x vanishes at the indices ``x_vanish``, on and below the diagonal
-    blocks."""
-    comp, k = _rigid_blocks(b)
-    n = b.n
-    block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
-    return sum(comp[:k]), tuple(n * r + c for r in range(n) for c in range(n)
-                                if block_of[r] >= block_of[c])
 
 
 @cache
 def _x_passes(start, maps, b):
     """One byte per point of the x table that :func:`_orbit_of` keeps for
     (start, maps), 1 where the flat x vanishes at the indices ``x_vanish``
-    of b's rigid pattern (:func:`_rigid_pattern`) and 0 elsewhere.  Kept
+    of b's rigid blocks (:func:`_rigid_blocks`) and 0 elsewhere.  Kept
     once per process for each (start, maps, b): at one (n, p) the x tables
     split the p^(n^2 - n) nilpotent matrices, so the memo holds at most
     that many bytes for each label b of size n, at (4, 2) 4,096 bytes for
     each of the 20 labels."""
     xs, _ = _orbit_of(start, maps)
-    _, x_vanish = _rigid_pattern(b)
+    x_vanish = _rigid_blocks(b)[3]
     return bytes([not any(map(x.__getitem__, x_vanish)) for x in xs])
 
 
@@ -568,23 +555,25 @@ def closure_oracle_sweep(b_small, b_big, p):
     point of the x-orbit, and the walk of :func:`_orbit_pairs` looks for a
     pair that passes both.
 
+    p must be prime (ValueError otherwise, before the budget is read).
     What depends on one label and p is kept once per process, so a query
     builds only the v pass test and its walk: the generators
-    (:func:`_conjugations`, keyed on (n, p)), the normal form of b_small
-    (:func:`_normal_form`) and the rigid pattern of b_big
-    (:func:`_rigid_pattern`), keyed on the label, the orbit tables of
-    b_small's v and x (:func:`_orbit_of`, keyed on the start point and the
-    maps), which the memo bounds by the point budget, and the x pass test
-    of b_small's x table against b_big (:func:`_x_passes`).
+    (:func:`_conjugations`, keyed on (n, p)), the record of each label,
+    keyed on the label (:func:`_chains` of b_small, whose v and flat x start
+    the walk, and :func:`_rigid_blocks` of b_big, the pattern), the orbit
+    tables of b_small's v and x (:func:`_orbit_of`, keyed on the start point
+    and the maps), which the memo bounds by the point budget, and the x pass
+    test of b_small's x table against b_big (:func:`_x_passes`).
     """
     n = b_small.n
     if n != b_big.n:
         raise SizeMismatch("labels have different sizes")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     _walk_budget(p ** (n * n))
     v_maps, x_maps = _conjugations(n, p)
-    xrows, ventries = _normal_form(b_small)
-    marked, _ = _rigid_pattern(b_big)
-    x_start = sum(xrows, ())
+    *_, ventries, x_start = _chains(b_small)
+    marked = _rigid_blocks(b_big)[2]
     vs, v_next = _orbit_of(ventries, v_maps)
     xs, x_next = _orbit_of(x_start, x_maps)
     v_ok = [not any(v[marked:]) for v in vs]

@@ -22,7 +22,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(p):
-    """Deterministic Miller-Rabin; ValueError where its bases do not decide."""
+    """Deterministic Miller-Rabin; ValueError where its bases do not decide,
+    TypeError unless p is an int (3.0 and Fraction(3) equal a base)."""
+    if type(p) is not int:
+        raise TypeError(f"{p!r} is not an int")
     if p in _MR_BASES:  # every base is prime
         return True
     if p >= 3317044064679887385961981:

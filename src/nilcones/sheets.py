@@ -256,10 +256,11 @@ def fiber_census(n, p):
     identified (85 orbits for the 15,625 points at n = 2, p = 5).  Returns
     (fibers, nonsplit_count): fibers maps each invariant vector to a dict
     counting class labels.  It walks all p^(n + n^2) points, at most
-    ``enhanced.WALK_BUDGET_POINTS`` (the largest p at n = 1 to 4: 1021, 7, 3, 2).
+    ``enhanced.WALK_BUDGET_POINTS`` (the largest p at n = 1 to 4: 1021, 7, 3, 2),
+    and refuses a p that is not prime (``GF``) before it reads the budget.
     """
-    _walk_budget(p ** (n + n * n))
     field = GF(p)
+    _walk_budget(p ** (n + n * n))
     v_maps, x_maps = _conjugations(n, p)
     vs, v_next = _orbit_table(product(range(p), repeat=n), v_maps)
     xs, x_next = _orbit_table(product(range(p), repeat=n * n), x_maps)

@@ -48,8 +48,8 @@ from .enhanced import (
     jkv_decompose,
     orbit_dim,
     rigid_datum,
+    _chains,
     _conjugations,
-    _normal_form,
     _orbit_walk,
 )
 from .exotic import ExoticElement, embed_phi, embed_psi, exotic_orbit_dim
@@ -189,7 +189,7 @@ def suite_closure(n, p):
         # the orbits partition the p^n * p^(n^2 - n) points of the nilcone
         # (Fine-Herstein count of nilpotent matrices)
         maps = _conjugations(n, p)
-        orbits = [set(_orbit_walk(*maps, v, x)) for x, v in map(_normal_form, labels)]
+        orbits = [set(_orbit_walk(*maps, v, x)) for *_, v, x in map(_chains, labels)]
         points = sum(map(len, orbits))
         distinct = len(set().union(*orbits))
         checker.add(f"orbits partition the {p ** (n * n)} nilcone points at n={n}, p={p}",

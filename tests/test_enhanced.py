@@ -1,5 +1,6 @@
 import gc
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -20,19 +21,24 @@ from nilcones.linalg import (
     echelon_patterns,
     stabilizer_dim_gl,
 )
-from nilcones.partitions import Bipartition, Composition, ah_closure_leq, enumerate_bipartitions
+from nilcones.partitions import (
+    Bipartition,
+    Composition,
+    add,
+    ah_closure_leq,
+    enumerate_bipartitions,
+)
+from nilcones.sheets import fiber_census
 from nilcones.verify import run_suite
 from nilcones.enhanced import (
     WALK_BUDGET_POINTS,
     EnhancedElement,
     _chains,
     _conjugations,
-    _normal_form,
     _orbit_of,
     _orbit_pairs,
     _orbit_table,
     _orbit_walk,
-    _rigid_pattern,
     _subspaces_between,
     _rigid_blocks,
     _x_passes,
@@ -208,7 +214,7 @@ def test_rigid_blocks_match_rigid_datum():
     for n in range(9):
         for b in enumerate_bipartitions(n):
             comp = rigid_datum(b).composition
-            assert _rigid_blocks(b) == (comp.parts, comp.k), b
+            assert _rigid_blocks(b)[:2] == (comp.parts, comp.k), b
 
 
 def test_rigidity():
@@ -268,13 +274,29 @@ def test_closure_examples():
         closure_oracle_sweep(B((1,), ()), B((1,), ()), 6)
 
 
-@pytest.mark.parametrize("p", [1, 4, 6, 9])
-@pytest.mark.parametrize("oracle", [closure_oracle_flag, closure_oracle_sweep])
+@pytest.mark.parametrize("p", [1, 4, 6, 9, 1024])
+@pytest.mark.parametrize("oracle", [closure_oracle_flag, closure_oracle_sweep, fiber_census])
 def test_closure_oracles_refuse_a_non_prime(oracle, p):
-    # the flag search inverts mod p by Fermat, and the sweep's dilation
-    # needs a primitive root mod p: both hold only for a prime
+    # the flag search inverts mod p by Fermat, and the walk's dilation
+    # needs a primitive root mod p: both hold only for a prime.  Each
+    # oracle asks for a prime before it reads the point budget, so p = 1024,
+    # past the budget at n = 2, is a ValueError too, not BudgetExceeded
+    args = (2,) if oracle is fiber_census else (B((1,), (1,)), B((2,), ()))
     with pytest.raises(ValueError):
-        oracle(B((1,), (1,)), B((2,), ()), p)
+        oracle(*args, p)
+
+
+@pytest.mark.parametrize("p", [3.0, Fraction(3), 7.5])
+def test_a_prime_that_is_not_an_int_is_refused(p):
+    # 3.0 and Fraction(3) equal the Miller-Rabin base 3, and GF(3.0) once
+    # built a field whose residues were floats
+    with pytest.raises(TypeError):
+        GF(p)
+    for oracle in (closure_oracle_flag, closure_oracle_sweep):
+        with pytest.raises(TypeError):
+            oracle(B((1,), (1,)), B((2,), ()), p)
+    with pytest.raises(TypeError):
+        fiber_census(1, p)
 
 
 def test_closure_rule_against_flag_oracle_small():
@@ -422,19 +444,39 @@ def test_flag_oracle_leaves_no_garbage():
         gc.enable()
 
 
+def must_vanish(comp, k):
+    """The indices of the flat point v + rows of x at which a point of the
+    rigid datum's pattern vanishes: v outside the marked blocks of comp
+    (the first k) and x on and below the diagonal blocks."""
+    n = sum(comp)
+    block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
+    return [*range(sum(comp[:k]), n),
+            *(n + n * r + c for r in range(n) for c in range(n) if block_of[r] >= block_of[c])]
+
+
 def per_point_sweep(b_small, b_big, p):
     """The sweep as one test per orbit point: the flat point v + rows of x
-    must vanish outside the marked blocks (v) and on and below the
-    diagonal blocks (x) of b_big's rigid datum."""
-    comp, k = _rigid_blocks(b_big)
-    n = b_small.n
-    block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
-    must_vanish = [*range(sum(comp[:k]), n),
-                   *(n + n * r + c for r in range(n) for c in range(n)
-                     if block_of[r] >= block_of[c])]
+    must vanish at the indices :func:`must_vanish` gives for b_big's rigid
+    datum."""
+    comp, k, *_ = _rigid_blocks(b_big)
+    indices = must_vanish(comp, k)
     rep = build_representative(b_small, field=GF(p))
-    return any(not any(map(pt.__getitem__, must_vanish))
-               for pt in _orbit_walk(*_conjugations(n, p), rep.v.entries, rep.x.rows))
+    walk = _orbit_walk(*_conjugations(b_small.n, p), rep.v.entries, sum(rep.x.rows, ()))
+    return any(not any(map(pt.__getitem__, indices)) for pt in walk)
+
+
+def test_label_records_match_local_constructions():
+    # the fields each label's record keeps for the sweep, against
+    # constructions made here: the flat x of the normal form from the chain
+    # lengths mu_i + nu_i, and the pattern's indices from (comp, k)
+    for n in range(7):
+        for b in enumerate_bipartitions(n):
+            chain_of = [i for i, length in enumerate(add(b.mu, b.nu)) for _ in range(length)]
+            x = tuple(int(j == i + 1 and chain_of[i] == chain_of[j])
+                      for i in range(n) for j in range(n))
+            assert _chains(b)[3] == x == sum(build_representative(b, GF(2)).x.num, ()), b
+            comp, k, marked, x_vanish = _rigid_blocks(b)
+            assert [*range(marked, n), *(n + i for i in x_vanish)] == must_vanish(comp, k), b
 
 
 def test_sweep_matches_per_point_reference():
@@ -472,7 +514,7 @@ def test_orbit_walk_partitions_nilcone_points():
         points = 0
         for b in enumerate_bipartitions(n):
             rep = build_representative(b, field=GF(p))
-            orbit = set(_orbit_walk(*_conjugations(n, p), rep.v.entries, rep.x.rows))
+            orbit = set(_orbit_walk(*_conjugations(n, p), rep.v.entries, sum(rep.x.rows, ())))
             assert seen.isdisjoint(orbit), (n, p, b)
             seen |= orbit
             points += len(orbit)
@@ -480,8 +522,7 @@ def test_orbit_walk_partitions_nilcone_points():
 
 
 # every memo the F_p oracles keep, each a functools.cache
-ORACLE_MEMOS = (_conjugations, _orbit_of, _chains, _normal_form, _rigid_blocks, _rigid_pattern,
-                _x_passes, _pattern_slots)
+ORACLE_MEMOS = (_conjugations, _orbit_of, _chains, _rigid_blocks, _x_passes, _pattern_slots)
 
 
 def fresh_sweep(b_small, b_big, p):
@@ -490,9 +531,9 @@ def fresh_sweep(b_small, b_big, p):
     tables built anew on every call, none of them read from a memo."""
     n = b_small.n
     v_maps, x_maps = _conjugations.__wrapped__(n, p)
-    _, ends, ventries = _chains.__wrapped__(b_small)
+    _, ends, ventries, _ = _chains.__wrapped__(b_small)
     xrows = [[int(j == i + 1 and i not in ends) for j in range(n)] for i in range(n)]
-    comp, k = _rigid_blocks.__wrapped__(b_big)
+    comp, k, *_ = _rigid_blocks.__wrapped__(b_big)
     marked = sum(comp[:k])
     block_of = [bi for bi, size in enumerate(comp) for _ in range(size)]
     x_vanish = [n * r + c for r in range(n) for c in range(n) if block_of[r] >= block_of[c]]
@@ -549,8 +590,8 @@ def test_oracle_memos_are_bounded_and_immutable():
     assert run_suite("closure", 4, 2)["passed"]
     labels = enumerate_bipartitions(4)
     v_maps, x_maps = _conjugations(4, 2)
-    x_starts = {sum(_normal_form(b)[0], ()) for b in labels}
-    v_starts = {_normal_form(b)[1] for b in labels}
+    x_starts = {_chains(b)[3] for b in labels}
+    v_starts = {_chains(b)[2] for b in labels}
     assert (len(x_starts), len(v_starts)) == (5, 12)
     info = _orbit_of.cache_info()
     assert info.currsize == 17
@@ -576,8 +617,7 @@ def test_oracle_memos_are_bounded_and_immutable():
         assert sum(map(len, passes)) == 2 ** 12, b
     assert _x_passes.cache_info().currsize == 100
     for value in (*x_tables, *v_tables, _conjugations(4, 2), _conjugations(4, 3),
-                  *map(_chains, labels), *map(_normal_form, labels),
-                  *map(_rigid_blocks, labels), *map(_rigid_pattern, labels),
+                  *map(_chains, labels), *map(_rigid_blocks, labels),
                   *(_pattern_slots(m, r) for m in range(5) for r in range(m + 1))):
         assert type(value) is tuple and is_frozen(value), value
 

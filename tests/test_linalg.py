@@ -13,7 +13,7 @@ from nilcones.errors import (
     NotNilpotent,
     WedgeViolation,
 )
-from nilcones.enhanced import _chain_preimage, _normal_form
+from nilcones.enhanced import _chain_preimage, _chains
 from nilcones.fields import GF, QQ, _is_prime
 from nilcones.linalg import (
     Mat,
@@ -401,7 +401,8 @@ def test_preimage_matches_two_step_route_and_brute_force():
         for n in range(1, 7):
             full = _echelon((tuple(int(i == j) for j in range(n)) for i in range(n)), p)
             for b in enumerate_bipartitions(n):
-                xrows, _ = _normal_form(b)
+                x = _chains(b)[3]
+                xrows = [x[i * n:(i + 1) * n] for i in range(n)]
                 x_cols = list(zip(*xrows))
                 starts = [full[j] for j in range(n) if not any(x_cols[j])]
                 ends = [i for i in range(n) if not any(xrows[i])]
